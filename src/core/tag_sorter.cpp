@@ -95,9 +95,10 @@ void TagSorter::validate_incoming(std::uint64_t logical) const {
                  "tag would stretch the live window beyond the wrap limit (Fig. 6)");
 }
 
-std::optional<std::uint64_t> TagSorter::wrapped_search_insert(std::uint64_t physical) {
+std::optional<std::uint64_t> TagSorter::wrapped_search_insert(std::uint64_t physical,
+                                                              bool* planted) {
     const std::uint64_t head_physical = to_physical(head_logical_);
-    std::optional<std::uint64_t> match = tree_.search_and_insert(physical);
+    std::optional<std::uint64_t> match = tree_.search_and_insert(physical, planted);
     if (empty()) return match;  // caller treats result as "list was empty"
     if (physical >= head_physical) {
         // Not across the seam: the minimum's marker bounds the search from
@@ -203,14 +204,15 @@ void TagSorter::insert_impl(std::uint64_t tag, std::uint32_t payload) {
     // An IntegrityError can surface *after* the tree pass has planted the
     // new marker (e.g. the predecessor's translation entry is corrupt); a
     // marker without a list entry would itself be corruption, so roll it
-    // back before rethrowing.
-    const bool had_marker = tree_.contains(physical);
+    // back before rethrowing. A duplicate's marker predates this insert
+    // and stays.
+    bool planted = false;
     storage::Addr new_addr;
     try {
         if (was_empty || undercut) {
             // New global minimum: no predecessor exists; the tree still gets
             // the marker (same pipeline pass, search result unused).
-            tree_.search_and_insert(physical);
+            tree_.search_and_insert(physical, &planted);
             new_addr = store_.insert_at_head({physical, payload});
             head_logical_ = tag;
             lead_sector_ = static_cast<unsigned>(
@@ -218,7 +220,8 @@ void TagSorter::insert_impl(std::uint64_t tag, std::uint32_t payload) {
             if (undercut) ++stats_.head_undercuts;
             if (was_empty) max_logical_ = tag;
         } else {
-            const std::optional<std::uint64_t> match = wrapped_search_insert(physical);
+            const std::optional<std::uint64_t> match =
+                wrapped_search_insert(physical, &planted);
             WFQS_ASSERT(match.has_value());
             if (*match == physical) ++stats_.duplicate_inserts;
             const std::optional<storage::Addr> pred = table_.lookup(*match);
@@ -236,7 +239,7 @@ void TagSorter::insert_impl(std::uint64_t tag, std::uint32_t payload) {
             new_addr = store_.insert_after(*pred, {physical, payload});
         }
     } catch (...) {
-        if (!had_marker && tree_.contains(physical)) tree_.erase(physical);
+        if (planted) tree_.erase(physical);
         throw;
     }
     max_logical_ = std::max(max_logical_, tag);

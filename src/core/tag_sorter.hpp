@@ -212,7 +212,10 @@ private:
     void validate_incoming(std::uint64_t logical) const;
     /// Wrapped closest-match: primary pass at `physical`, fallback pass at
     /// the top of the value space when the window wraps the seam.
-    std::optional<std::uint64_t> wrapped_search_insert(std::uint64_t physical);
+    /// `planted` reports whether the primary pass set a fresh marker (see
+    /// MultibitTree::search_and_insert), even when a later check throws.
+    std::optional<std::uint64_t> wrapped_search_insert(std::uint64_t physical,
+                                                       bool* planted = nullptr);
     /// Marker/translation retirement for a departing tag (overlapped).
     void retire_if_last(std::uint64_t popped_physical, bool next_equal,
                         bool reinserted_same_value);

@@ -21,7 +21,10 @@ Sram::Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& c
     WFQS_REQUIRE(num_words > 0, "SRAM must have at least one word");
     WFQS_REQUIRE(word_bits >= 1 && word_bits <= 64, "SRAM word width must be 1..64");
     WFQS_REQUIRE(ports >= 1, "SRAM needs at least one port");
-    if (!paged_) words_.assign(num_words, 0);
+    if (paged_)
+        page_dir_.assign(ceil_div(num_words, kPageWords), nullptr);
+    else
+        words_.assign(num_words, 0);
 }
 
 void Sram::check_addr(std::size_t addr, const char* op) const {
@@ -45,23 +48,21 @@ void Sram::inject(std::size_t addr) {
 
 // ------------------------------------------------------- backing helpers
 
-Sram::Page* Sram::find_page(std::size_t page_index) {
-    const auto it = pages_.find(page_index);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
-const Sram::Page* Sram::find_page(std::size_t page_index) const {
-    const auto it = pages_.find(page_index);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
 Sram::Page& Sram::touch_page(std::size_t page_index) {
-    Page& page = pages_[page_index];
-    if (page.data.empty()) {
+    Page*& slot = page_dir_[page_index];
+    if (slot == nullptr) {
+        Page& page = pages_[page_index];
         page.data.assign(kPageWords, 0);
         if (paged_protected_) page.check.assign(kPageWords, zero_check_);
+        slot = &page;
     }
-    return page;
+    return *slot;
+}
+
+void Sram::drop_page(std::size_t page_index) {
+    if (page_dir_[page_index] == nullptr) return;
+    page_dir_[page_index] = nullptr;
+    pages_.erase(page_index);
 }
 
 std::uint64_t Sram::raw_word(std::size_t addr) const {
@@ -154,7 +155,7 @@ void Sram::flash_clear(std::size_t addr, std::size_t count) {
             const std::size_t lo = std::max(addr, page_lo);
             const std::size_t hi = std::min(last, page_lo + kPageWords - 1);
             if (lo == page_lo && hi == page_lo + kPageWords - 1) {
-                pages_.erase(p);
+                drop_page(p);
                 continue;
             }
             Page* page = find_page(p);
@@ -247,6 +248,7 @@ void Sram::wipe() {
             std::fill(check_words_.begin(), check_words_.end(), codec_.encode(0));
         return;
     }
+    for (const auto& [index, page] : pages_) page_dir_[index] = nullptr;
     pages_.clear();
 }
 

@@ -78,6 +78,9 @@ public:
     /// in uint64 and masked on write.
     Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& clock,
          unsigned ports = 1);
+    /// The page directory points into pages_, so a copy would alias it.
+    Sram(const Sram&) = delete;
+    Sram& operator=(const Sram&) = delete;
 
     std::uint64_t read(std::size_t addr) {
         if (fast_path_ && addr < words_.size()) [[likely]] {
@@ -213,9 +216,10 @@ private:
     // the stored bits; an absent page reads as zero data with a
     // consistent zero check word.
     bool protected_() const { return !check_words_.empty() || paged_protected_; }
-    Page* find_page(std::size_t page_index);
-    const Page* find_page(std::size_t page_index) const;
+    Page* find_page(std::size_t page_index) { return page_dir_[page_index]; }
+    const Page* find_page(std::size_t page_index) const { return page_dir_[page_index]; }
     Page& touch_page(std::size_t page_index);
+    void drop_page(std::size_t page_index);
     std::uint64_t raw_word(std::size_t addr) const;
     std::uint64_t raw_check(std::size_t addr) const;
     void store_word(std::size_t addr, std::uint64_t data);
@@ -232,7 +236,12 @@ private:
     /// bounds check routes paged accesses to the slow lane).
     std::vector<std::uint64_t> words_;
     /// Sparse backing, keyed by addr / kPageWords. Absent = all-zero.
+    /// Owns the live pages (element addresses are stable across rehash);
+    /// maintenance sweeps iterate it, so they visit only live pages.
     std::unordered_map<std::size_t, Page> pages_;
+    /// Page directory for the datapath: one slot per page of the block,
+    /// nullptr when absent — an O(1) lookup instead of a hash probe.
+    std::vector<Page*> page_dir_;
     fault::EccCodec codec_;
     std::vector<std::uint64_t> check_words_;  ///< dense mode; empty until protected
     bool paged_protected_ = false;            ///< paged mode protection flag

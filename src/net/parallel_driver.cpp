@@ -597,7 +597,7 @@ SimResult ParallelSimDriver::run(scheduler::Scheduler& sched,
         std::vector<std::vector<GenWorker::Feed>> assignment(gen_workers);
         for (std::size_t i = 0; i < flows.size(); ++i)
             assignment[i % gen_workers].push_back(GenWorker::Feed{
-                i, flows[i].source.get(), flow_rings[i].get()});
+                i, flows[i].source.get(), flow_rings[i].get(), {}});
         workers.reserve(gen_workers);
         for (auto& feeds : assignment)
             workers.emplace_back(std::move(feeds), abort, prof_gen);

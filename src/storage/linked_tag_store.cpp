@@ -38,21 +38,20 @@ LinkedTagStore::LinkedTagStore(const Config& config, hw::Simulation& sim)
                        "tag + next pointer must pack into the lo stripe");
           return sim.make_sram("tag-store", config.capacity, lo_word);
       }()),
+      next_bits_(bits_for(config.capacity)),
       clock_(sim.clock()) {
-    const unsigned next_bits = bits_for(config_.capacity);
-    if (config_.tag_bits + config_.payload_bits + next_bits > 64)
+    if (config_.tag_bits + config_.payload_bits + next_bits_ > 64)
         hi_sram_ = &sim.make_sram("tag-store-hi", config_.capacity,
                                   config_.payload_bits);
 }
 
 std::uint64_t LinkedTagStore::pack(const Slot& s) const {
-    const unsigned next_bits = bits_for(config_.capacity);
     WFQS_ASSERT(s.entry.tag < (std::uint64_t{1} << config_.tag_bits));
     WFQS_ASSERT(config_.payload_bits == 32 ||
                 s.entry.payload < (std::uint64_t{1} << config_.payload_bits));
     const std::uint64_t next_field =
         s.next == kNullAddr ? config_.capacity : static_cast<std::uint64_t>(s.next);
-    WFQS_ASSERT(next_field < (std::uint64_t{1} << next_bits));
+    WFQS_ASSERT(next_field < (std::uint64_t{1} << next_bits_));
     return s.entry.tag | (std::uint64_t{s.entry.payload} << config_.tag_bits) |
            (next_field << (config_.tag_bits + config_.payload_bits));
 }

@@ -158,6 +158,7 @@ private:
 
     Config config_;
     hw::Sram& sram_;
+    unsigned next_bits_;  ///< next-pointer field width (`capacity` encodes null)
     hw::Sram* hi_sram_ = nullptr;
     hw::Clock& clock_;
     Addr head_ = kNullAddr;        ///< head of the sorted list (smallest tag)

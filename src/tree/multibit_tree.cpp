@@ -32,7 +32,12 @@ MultibitTree::MultibitTree(const Config& config, hw::Simulation& sim,
     WFQS_REQUIRE(config_.first_sram_level >= 1,
                  "the root level must be registers (it is read every cycle)");
     const TreeGeometry& g = config_.geometry;
+    levels_ = g.levels;
+    capacity_ = g.capacity();
     for (unsigned l = 0; l < g.levels; ++l) {
+        const unsigned bits = g.level_bits(l);
+        level_[l] = {g.suffix_bits(l) - bits, bits, g.branching(l), low_mask(bits),
+                     low_mask(g.branching(l))};
         const std::uint64_t nodes = g.nodes_at_level(l);
         if (nodes > kMaxNodeWords)
             throw fault::SramInventoryError("tree-level-" + std::to_string(l),
@@ -74,11 +79,10 @@ void MultibitTree::poke_node(unsigned level, std::uint64_t index, std::uint64_t 
 }
 
 bool MultibitTree::contains(std::uint64_t value) const {
-    const TreeGeometry& g = config_.geometry;
-    WFQS_ASSERT(value < g.capacity());
-    for (unsigned l = 0; l < g.levels; ++l) {
-        const std::uint64_t word = node_word(l, g.node_index(value, l));
-        if (!bit_is_set(word, g.literal(value, l))) return false;
+    WFQS_ASSERT(value < capacity_);
+    for (unsigned l = 0; l < levels_; ++l) {
+        const std::uint64_t word = node_word(l, node_index(value, l));
+        if (!bit_is_set(word, literal(value, l))) return false;
     }
     return true;
 }
@@ -101,16 +105,17 @@ struct Walk {
 }  // namespace
 
 std::optional<std::uint64_t> MultibitTree::closest_leq(std::uint64_t value) {
-    return do_walk(value, /*do_insert=*/false);
+    return do_walk(value, /*do_insert=*/false, nullptr);
 }
 
-std::optional<std::uint64_t> MultibitTree::search_and_insert(std::uint64_t value) {
-    return do_walk(value, /*do_insert=*/true);
+std::optional<std::uint64_t> MultibitTree::search_and_insert(std::uint64_t value,
+                                                             bool* planted) {
+    return do_walk(value, /*do_insert=*/true, planted);
 }
 
-std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_insert) {
-    const TreeGeometry& g = config_.geometry;
-    WFQS_ASSERT(value < g.capacity());
+std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_insert,
+                                                   bool* planted) {
+    WFQS_ASSERT(value < capacity_);
     ++stats_.searches;
 
     Walk w;
@@ -119,19 +124,20 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
     // exact path. Levels >= exact_depth were never read on that path (the
     // walk had already deviated). Tracked out of band: a full 64-way node
     // word is ~0, so no word value can double as a "not visited" sentinel.
-    std::vector<std::uint64_t> exact_words(g.levels, 0);
+    std::array<std::uint64_t, kMaxLevels> exact_words{};
     unsigned exact_depth = 0;
 
-    for (unsigned l = 0; l < g.levels; ++l) {
+    for (unsigned l = 0; l < levels_; ++l) {
         // Branching and literal width of *this* level — heterogeneous
         // geometries change both per level.
-        const unsigned B = g.branching(l);
-        const unsigned lbits = g.level_bits(l);
+        const LevelTable& lt = level_[l];
+        const unsigned B = lt.branching;
+        const unsigned lbits = lt.bits;
         // Shadow step: read the shadow node and follow its largest literal.
         int shadow_literal = -1;
         if (w.shadow_active) {
             const std::uint64_t sword = read_node(l, w.shadow_idx);
-            shadow_literal = highest_set(sword & low_mask(B));
+            shadow_literal = highest_set(sword & lt.node_mask);
             if (shadow_literal < 0) {
                 throw fault::IntegrityError(
                     fault::IntegrityKind::kTreeInvariant,
@@ -144,7 +150,7 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
             const std::uint64_t word = read_node(l, w.node_idx);
             exact_words[l] = word;
             exact_depth = l + 1;
-            const unsigned target = g.literal(value, l);
+            const unsigned target = literal(value, l);
             const matcher::MatchResult m = matcher_.match(word, target, B);
             ++stats_.node_lookups;
 
@@ -189,22 +195,22 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
             }
         } else if (w.mode == Walk::Mode::MaxDescent) {
             const std::uint64_t word = read_node(l, w.node_idx);
-            const int literal = highest_set(word & low_mask(B));
-            if (literal < 0) {
+            const int max_literal = highest_set(word & lt.node_mask);
+            if (max_literal < 0) {
                 throw fault::IntegrityError(
                     fault::IntegrityKind::kTreeInvariant,
                     "marked node has empty child (max descent, level " +
                         std::to_string(l) + ")");
             }
-            w.node_idx = w.node_idx * B + static_cast<unsigned>(literal);
-            w.prefix = (w.prefix << lbits) | static_cast<unsigned>(literal);
+            w.node_idx = w.node_idx * B + static_cast<unsigned>(max_literal);
+            w.prefix = (w.prefix << lbits) | static_cast<unsigned>(max_literal);
         }
         clock_.advance();  // one pipeline cycle per tree level
     }
 
     if (used_backup) ++stats_.backup_descents;
     stats_.worst_node_lookups = std::max<std::uint64_t>(stats_.worst_node_lookups,
-                                                        g.levels);
+                                                        levels_);
 
     std::optional<std::uint64_t> result;
     if (w.mode != Walk::Mode::Dead) result = w.prefix;
@@ -214,9 +220,9 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
     if (do_insert) {
         // Write-back cycle: at most one node per level changes; levels live
         // in distinct memories, so all writes share one cycle.
-        for (unsigned l = 0; l < g.levels; ++l) {
-            const unsigned bit = g.literal(value, l);
-            const std::uint64_t idx = g.node_index(value, l);
+        for (unsigned l = 0; l < levels_; ++l) {
+            const unsigned bit = literal(value, l);
+            const std::uint64_t idx = node_index(value, l);
             if (l < exact_depth) {
                 // Node was read on the exact path: OR the bit in, keeping
                 // any sibling markers.
@@ -230,9 +236,10 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
         }
         // Marker count: a fresh leaf bit means a new marker.
         const bool already_present =
-            exact_depth == g.levels &&
-            bit_is_set(exact_words[g.levels - 1], g.literal(value, g.levels - 1));
+            exact_depth == levels_ &&
+            bit_is_set(exact_words[levels_ - 1], literal(value, levels_ - 1));
         if (!already_present) ++marker_count_;
+        if (planted != nullptr) *planted = !already_present;
         clock_.advance();
     }
     return result;
@@ -241,22 +248,21 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
 void MultibitTree::insert(std::uint64_t value) { (void)search_and_insert(value); }
 
 void MultibitTree::erase(std::uint64_t value) {
-    const TreeGeometry& g = config_.geometry;
-    WFQS_ASSERT(value < g.capacity());
+    WFQS_ASSERT(value < capacity_);
     // Background maintenance overlapped with the pipeline: reads and
     // writes are charged to the current cycle (the banked level memories
     // absorb them); the clock is advanced by the caller's FSM.
-    std::vector<std::uint64_t> words(g.levels);
-    for (unsigned l = 0; l < g.levels; ++l) words[l] = read_node(l, g.node_index(value, l));
-    if (!bit_is_set(words[g.levels - 1], g.literal(value, g.levels - 1))) {
+    std::array<std::uint64_t, kMaxLevels> words{};
+    for (unsigned l = 0; l < levels_; ++l) words[l] = read_node(l, node_index(value, l));
+    if (!bit_is_set(words[levels_ - 1], literal(value, levels_ - 1))) {
         throw fault::IntegrityError(fault::IntegrityKind::kTreeInvariant,
                                     "erasing a marker that is not present (value " +
                                         std::to_string(value) + ")");
     }
 
-    for (unsigned l = g.levels; l-- > 0;) {
-        const std::uint64_t cleared = clear_bit(words[l], g.literal(value, l));
-        write_node(l, g.node_index(value, l), cleared);
+    for (unsigned l = levels_; l-- > 0;) {
+        const std::uint64_t cleared = clear_bit(words[l], literal(value, l));
+        write_node(l, node_index(value, l), cleared);
         if (cleared != 0) break;  // node still has markers: ancestors keep their bit
     }
     // Saturating: corruption can make the count drift from the markers;
@@ -337,11 +343,10 @@ void MultibitTree::clear_all() {
 }
 
 void MultibitTree::set_leaf_marker(std::uint64_t value, bool present) {
-    const TreeGeometry& g = config_.geometry;
-    WFQS_ASSERT(value < g.capacity());
-    const unsigned leaf = g.levels - 1;
-    const std::uint64_t idx = g.node_index(value, leaf);
-    const unsigned bit = g.literal(value, leaf);
+    WFQS_ASSERT(value < capacity_);
+    const unsigned leaf = levels_ - 1;
+    const std::uint64_t idx = node_index(value, leaf);
+    const unsigned bit = literal(value, leaf);
     const std::uint64_t word = node_word(leaf, idx);
     const std::uint64_t updated = present ? set_bit(word, bit) : clear_bit(word, bit);
     if (updated != word) poke_node(leaf, idx, updated);

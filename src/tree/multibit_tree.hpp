@@ -15,6 +15,7 @@
 // bit and flash-clears every descendant node in a single cycle.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -56,7 +57,11 @@ public:
     /// the closest marked value ≤ `value` *before* the insert, then marks
     /// `value`. Costs levels+1 cycles: L reads plus one write-back cycle
     /// (at most one node per level changes, all in distinct memories).
-    std::optional<std::uint64_t> search_and_insert(std::uint64_t value);
+    /// `*planted` (when given) is set once the write-back completes: true
+    /// iff the leaf marker was fresh rather than a duplicate; it is left
+    /// untouched if the walk throws first.
+    std::optional<std::uint64_t> search_and_insert(std::uint64_t value,
+                                                   bool* planted = nullptr);
 
     /// Set the marker for `value` (idempotent).
     void insert(std::uint64_t value);
@@ -115,14 +120,39 @@ public:
     const TreeSearchStats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }
 
+    /// Table-driven TreeGeometry::literal / node_index: O(1) per call,
+    /// where the geometry's versions loop over the levels.
+    std::uint32_t literal(std::uint64_t value, unsigned level) const {
+        return static_cast<std::uint32_t>((value >> level_[level].shift) &
+                                          level_[level].literal_mask);
+    }
+    std::uint64_t node_index(std::uint64_t value, unsigned level) const {
+        return value >> (level_[level].shift + level_[level].bits);
+    }
+
 private:
+    /// validate() allows at most 32 one-bit levels.
+    static constexpr unsigned kMaxLevels = 32;
+    /// Per-level addressing, precomputed from the geometry so the hot path
+    /// never loops over the levels to find a literal's position.
+    struct LevelTable {
+        unsigned shift = 0;              ///< tag bits below this level's literal
+        unsigned bits = 0;               ///< literal width
+        unsigned branching = 0;          ///< 1 << bits: node width
+        std::uint64_t literal_mask = 0;  ///< low_mask(bits)
+        std::uint64_t node_mask = 0;     ///< low_mask(branching): a node's bits
+    };
     std::uint64_t read_node(unsigned level, std::uint64_t index);
     void write_node(unsigned level, std::uint64_t index, std::uint64_t word);
     /// Maintenance write: no ports, no cycles, re-encodes check bits.
     void poke_node(unsigned level, std::uint64_t index, std::uint64_t word);
-    std::optional<std::uint64_t> do_walk(std::uint64_t value, bool do_insert);
+    std::optional<std::uint64_t> do_walk(std::uint64_t value, bool do_insert,
+                                         bool* planted);
 
     Config config_;
+    unsigned levels_ = 0;
+    std::uint64_t capacity_ = 0;
+    std::array<LevelTable, kMaxLevels> level_{};
     matcher::MatcherEngine& matcher_;
     std::vector<std::vector<std::uint64_t>> register_levels_;  ///< levels < first_sram_level
     std::vector<hw::Sram*> sram_levels_;                       ///< levels >= first_sram_level

@@ -2,6 +2,11 @@
 // the simulation inventory.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+#include <utility>
+#include <vector>
+
 #include "fault/errors.hpp"
 #include "hw/clock.hpp"
 #include "hw/simulation.hpp"
@@ -172,6 +177,107 @@ TEST(Sram, FastPathMasksWordWidth) {
     m.write(0, 0x1FF);
     clk.advance();
     EXPECT_EQ(m.read(0), 0xFFu);
+}
+
+// Blocks above kPagedThreshold switch to a paged backing store; that is a
+// host-side representation change only. One access script run on a paged
+// block and on a dense one must give the same values, stats, throws and
+// sweeps.
+TEST(Sram, PagedBlockMatchesDenseBlockObservably) {
+    constexpr std::size_t kPage = Sram::kPageWords;
+    Clock dense_clk, paged_clk;
+    Sram dense("m", Sram::kPagedThreshold, 40, dense_clk, 2);
+    Sram paged("m", Sram::kPagedThreshold + 1, 40, paged_clk, 2);
+    ASSERT_FALSE(dense.paged());
+    ASSERT_TRUE(paged.paged());
+
+    struct Observed {
+        std::vector<std::string> log;  ///< read values and thrown error types
+        std::vector<std::pair<std::size_t, std::uint64_t>> nonzero, window, wiped;
+    };
+    const std::size_t base = 7 * kPage;  // three pages from here on
+    const std::size_t far = 200 * kPage + 3;
+    const auto script = [&](Sram& m, Clock& clk) {
+        Observed o;
+        const auto access = [&](auto&& op) {
+            try {
+                o.log.push_back(std::to_string(op()));
+            } catch (const std::exception& e) {
+                o.log.push_back(typeid(e).name());
+            }
+        };
+        const auto read = [&](std::size_t addr) {
+            access([&] { return m.read(addr); });
+            clk.advance();
+        };
+        const auto sweep = [&](std::size_t first, std::size_t count, auto& into) {
+            m.for_each_nonzero_word_in_range(
+                first, count, [&](std::size_t a, std::uint64_t w) { into.emplace_back(a, w); });
+        };
+
+        for (std::size_t i = 0; i < 3 * kPage; i += 509) {
+            m.write(base + i, 0xABCDE00000ull + i);
+            clk.advance();
+        }
+        m.write(far, 0x55);
+        clk.advance();
+        // Two ports: the third access of a cycle is a bus conflict.
+        access([&] { return m.read(base); });
+        access([&] { return m.read(base + 509); });
+        access([&] { return m.read(base + 1018); });
+        clk.advance();
+        read(std::size_t{1} << 21);  // out of range on both blocks
+        // Partial pages across a page boundary, then exactly one full page.
+        m.flash_clear(base + kPage / 2, kPage);
+        clk.advance();
+        m.flash_clear(base + 2 * kPage, kPage);
+        clk.advance();
+        for (std::size_t i = 0; i < 3 * kPage; i += 509) read(base + i);
+
+        m.enable_protection(fault::Protection::kSecded);
+        m.write(base + 2 * kPage + 1, 77);
+        clk.advance();
+        m.corrupt(base, 1u << 5);                   // single upset: corrected
+        m.corrupt(base + 509 * 5, 0b11);            // double upset: uncorrectable
+        m.corrupt(far + kPage, std::uint64_t{1} << 39);  // upset in an absent page
+        for (const std::size_t a : {base, base + 509 * 5, far + kPage, base + 2 * kPage + 1})
+            read(a);
+        m.corrupt(base + 509 * 6, 1u << 7);
+        m.relaunder();  // fixes that word, re-encodes the uncorrectable one
+        read(base + 509 * 5);
+        m.flash_clear(base + 2 * kPage, 4);
+        clk.advance();
+        m.poke(far + 1, 0x99);
+
+        sweep(base - kPage, 5 * kPage, o.window);
+        m.for_each_nonzero_word(
+            [&](std::size_t a, std::uint64_t w) { o.nonzero.emplace_back(a, w); });
+        for (std::size_t a = base - kPage; a < base + 4 * kPage; a += 97)
+            o.log.push_back(std::to_string(m.peek(a)) + "/" + std::to_string(m.peek_check(a)));
+        m.wipe();
+        sweep(0, Sram::kPagedThreshold, o.wiped);
+        read(base);
+        read(far);
+        return o;
+    };
+    const Observed d = script(dense, dense_clk);
+    const Observed p = script(paged, paged_clk);
+
+    EXPECT_EQ(d.log, p.log);
+    EXPECT_EQ(d.window, p.window);
+    EXPECT_EQ(d.nonzero, p.nonzero);
+    EXPECT_TRUE(d.wiped.empty());
+    EXPECT_TRUE(p.wiped.empty());
+    EXPECT_EQ(dense.stats().reads, paged.stats().reads);
+    EXPECT_EQ(dense.stats().writes, paged.stats().writes);
+    EXPECT_EQ(dense.stats().flash_clears, paged.stats().flash_clears);
+    EXPECT_EQ(dense.stats().ecc_corrected, paged.stats().ecc_corrected);
+    EXPECT_EQ(dense.stats().ecc_uncorrectable, paged.stats().ecc_uncorrectable);
+    EXPECT_EQ(dense.peak_accesses_per_cycle(), paged.peak_accesses_per_cycle());
+    // The script does exercise every outcome it compares.
+    EXPECT_EQ(dense.stats().ecc_corrected, 3u);
+    EXPECT_EQ(dense.stats().ecc_uncorrectable, 2u);
+    EXPECT_FALSE(d.nonzero.empty());
 }
 
 TEST(Simulation, InventoryAggregates) {

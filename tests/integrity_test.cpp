@@ -278,6 +278,56 @@ TEST(InsertSafety, MidInsertIntegrityThrowRollsBackTheFreshMarker) {
     expect_drains_sorted(sorter);
 }
 
+TEST(InsertSafety, MidInsertThrowOnADuplicateKeepsTheExistingMarker) {
+    hw::Simulation sim;
+    TagSorter sorter(small_config(), sim);
+    sorter.insert(10, 1);
+    sorter.insert(30, 2);
+
+    // A second 30 finds its own marker, whose translation entry is gone:
+    // the insert throws after the tree pass, but that marker predates it.
+    sorter.table().poke(30, std::nullopt);
+
+    EXPECT_THROW(sorter.insert(30, 3), fault::IntegrityError);
+    EXPECT_TRUE(sorter.search_tree().contains(30))
+        << "a failed duplicate insert must keep the marker it found";
+    EXPECT_EQ(sorter.size(), 2u);
+
+    fault::Scrubber scrubber(sorter);
+    EXPECT_EQ(scrubber.scrub().action, fault::ScrubAction::kRepaired);
+    sorter.insert(30, 3);
+    EXPECT_EQ(sorter.size(), 3u);
+    expect_drains_sorted(sorter);
+}
+
+TEST(InsertSafety, WrapFallbackThrowRollsBackTheFreshMarker) {
+    hw::Simulation sim;
+    TagSorter sorter(small_config(), sim);
+    sorter.insert(4000, 1);  // the minimum sits near the top of the 12-bit space
+
+    // 4100 wraps to physical 4, below the seam: the first pass plants 4's
+    // marker and finds nothing, so the fallback pass walks the upper
+    // segment — where the minimum's leaf marker has been lost, and that
+    // second walk throws.
+    sorter.search_tree().set_leaf_marker(4000, false);
+    const std::uint64_t wrapped = 4100;
+    const std::uint64_t physical = wrapped % sorter.search_tree().geometry().capacity();
+    ASSERT_LT(physical, 4000u);
+
+    EXPECT_THROW(sorter.insert(wrapped, 2), fault::IntegrityError);
+    EXPECT_EQ(sorter.stats().wrap_fallback_searches, 1u);
+    EXPECT_FALSE(sorter.search_tree().contains(physical))
+        << "the failed insert must take its fresh marker back out";
+    EXPECT_EQ(sorter.size(), 1u);
+
+    fault::Scrubber scrubber(sorter);
+    EXPECT_EQ(scrubber.scrub().action, fault::ScrubAction::kRepaired);
+    sorter.insert(wrapped, 2);
+    EXPECT_EQ(sorter.size(), 2u);
+    EXPECT_EQ(sorter.pop_min()->tag, 4000u);
+    EXPECT_EQ(sorter.pop_min()->tag, wrapped);
+}
+
 // ------------------------------------------------- end-to-end mini soak
 
 TEST(FaultSoak, SecdedSurvivesInjectionWithExactPopOrder) {

@@ -462,9 +462,10 @@ TEST(PolicyCorpus, SpPifoArtifactsProduceInversionsExactPifoDoesNot) {
             replay_with_meter(ops, approx, RankPolicy::kWfq, nullptr);
         EXPECT_GT(approx_meter.inversions(), 0u)
             << name << " no longer provokes SP-PIFO inversions";
-        if (std::string(name) == "policy-sp-pifo-pushdown.ops")
+        if (std::string(name) == "policy-sp-pifo-pushdown.ops") {
             EXPECT_GT(approx.push_downs(), 0u)
                 << name << " no longer triggers the push-down reaction";
+        }
 
         sched_prog::PifoScheduler::Config pc;
         pc.policy = RankPolicy::kWfq;

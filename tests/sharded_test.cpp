@@ -102,7 +102,9 @@ TEST(ShardedSorter, RandomizedEquivalenceAcrossBankCounts) {
             ASSERT_EQ(s->size(), ref.size());
             const auto peek = s->peek_min();
             ASSERT_EQ(peek.has_value(), min.has_value());
-            if (peek) EXPECT_EQ(peek->tag, *min);
+            if (peek) {
+                EXPECT_EQ(peek->tag, *min);
+            }
         }
     }
     // The stream must actually have crossed wrap epochs and undercut the

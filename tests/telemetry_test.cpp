@@ -343,7 +343,7 @@ TEST(HostProfiler, StallModeRanksTheLeastStalledStage) {
 TEST(HostProfiler, SampledTimerChargesStrideMultiples) {
     obs::HostProfiler prof;
     obs::SampledTimer timer(&prof.stage(obs::HostProfiler::Stage::kSched));
-    for (int i = 0; i < 2 * obs::SampledTimer::kStride; ++i) {
+    for (std::uint64_t i = 0; i < 2 * obs::SampledTimer::kStride; ++i) {
         auto scope = timer.time();
         // Two of these 128 brackets are measured and charged x64 each.
     }

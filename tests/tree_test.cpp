@@ -6,6 +6,8 @@
 
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/errors.hpp"
@@ -403,6 +405,84 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TreeGeometry>& info) {
         return "L" + std::to_string(info.param.levels) + "b" +
                std::to_string(info.param.bits_per_level);
+    });
+
+// The tree addresses nodes through per-level shift/width tables built at
+// construction; they must agree with TreeGeometry's loop-based literal()
+// and node_index() at every level, and the walks built on them must agree
+// with std::set — including on the heterogeneous and 32-bit geometries.
+class TreeLevelTables : public ::testing::TestWithParam<TreeGeometry> {};
+
+TEST_P(TreeLevelTables, AgreeWithGeometryAddressing) {
+    const TreeGeometry geom = GetParam();
+    TreeFixture f(geom);
+    const std::uint64_t cap = geom.capacity();
+    Rng rng(geom.tag_bits() * 7 + geom.levels);
+    std::vector<std::uint64_t> values = {0, 1, cap / 2, cap - 2, cap - 1};
+    for (int i = 0; i < 500; ++i) values.push_back(rng.next_below(cap));
+    for (const std::uint64_t v : values) {
+        for (unsigned l = 0; l < geom.levels; ++l) {
+            ASSERT_EQ(f.tree.literal(v, l), geom.literal(v, l)) << "v=" << v << " l=" << l;
+            ASSERT_EQ(f.tree.node_index(v, l), geom.node_index(v, l))
+                << "v=" << v << " l=" << l;
+        }
+    }
+}
+
+TEST_P(TreeLevelTables, WalksAgreeWithSet) {
+    const TreeGeometry geom = GetParam();
+    TreeFixture f(geom);
+    std::set<std::uint64_t> reference;
+    const std::uint64_t cap = geom.capacity();
+    Rng rng(geom.tag_bits() * 13 + geom.levels);
+    // Values cluster around a drifting cursor (siblings, shared ancestors,
+    // backup descents) with occasional far jumps across the whole space.
+    std::uint64_t cursor = rng.next_below(cap);
+    const auto next_value = [&] {
+        if (rng.next_bool(0.05)) cursor = rng.next_below(cap);
+        return (cursor + rng.next_below(256)) % cap;
+    };
+    for (int iter = 0; iter < 3000; ++iter) {
+        const std::uint64_t v = next_value();
+        switch (rng.next_below(3)) {
+            case 0: {
+                const bool fresh = !reference.contains(v);
+                bool planted = !fresh;  // the write-back must overwrite it
+                EXPECT_EQ(f.tree.search_and_insert(v, &planted),
+                          reference_closest_leq(reference, v))
+                    << "v=" << v;
+                EXPECT_EQ(planted, fresh) << "v=" << v;
+                reference.insert(v);
+                break;
+            }
+            case 1: {
+                if (reference.empty()) break;
+                auto it = reference.lower_bound(v);
+                if (it == reference.end()) it = reference.begin();
+                f.tree.erase(*it);
+                reference.erase(it);
+                break;
+            }
+            case 2:
+                EXPECT_EQ(f.tree.closest_leq(v), reference_closest_leq(reference, v))
+                    << "v=" << v;
+                break;
+        }
+        ASSERT_EQ(f.tree.marker_count(), reference.size());
+    }
+    for (const std::uint64_t v : reference) EXPECT_TRUE(f.tree.contains(v)) << v;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, TreeLevelTables,
+    ::testing::Values(TreeGeometry::paper(), TreeGeometry::paper_15bit(),
+                      TreeGeometry::binary(12), TreeGeometry{8, 4},
+                      TreeGeometry::wide32()),
+    [](const ::testing::TestParamInfo<TreeGeometry>& info) {
+        std::string name = "L" + std::to_string(info.param.levels) + "t" +
+                           std::to_string(info.param.tag_bits());
+        if (!info.param.uniform()) name += "het";
+        return name;
     });
 
 TEST(TreeRandomizedNetlist, NetlistMatcherDrivesTreeIdentically) {
