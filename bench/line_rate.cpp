@@ -22,7 +22,7 @@
 #include "core/synthesis_model.hpp"
 #include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
-#include "net/parallel_driver.hpp"
+#include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/profiler.hpp"
@@ -33,20 +33,7 @@ using namespace wfqs::core;
 
 namespace {
 
-// --- host-pipeline phase (--threads N) ---------------------------------
-//
-// Drives the mixed workload through the full WFQ + sorter stack twice:
-// once on the sequential SimDriver (the reference timing and the
-// bit-identity anchor) and once on the ParallelSimDriver with the
-// requested thread budget. The schedulers own their own hw::Simulation,
-// so the `hw.cycles` counter registered above stays byte-exact for the
-// perf-smoke gate at any --threads value.
-struct PipelinePhaseResult {
-    bool identical = true;
-    std::uint64_t host_ops = 0;
-};
-
-baselines::QueueParams pipeline_queue_params(baselines::SorterBackend backend) {
+baselines::QueueParams host_queue_params(baselines::SorterBackend backend) {
     baselines::QueueParams qp;
     qp.range_bits = 20;
     qp.capacity = 1 << 16;
@@ -61,7 +48,7 @@ scheduler::FairQueueingScheduler make_wfq(std::uint64_t rate,
     cfg.tag_granularity_bits = -6;
     return scheduler::FairQueueingScheduler(
         cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                       pipeline_queue_params(backend)));
+                                       host_queue_params(backend)));
 }
 
 // --- host-throughput phase (both backends, every run) -------------------
@@ -81,7 +68,7 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
 
     const auto run_backend = [&](baselines::SorterBackend backend) {
         auto queue = baselines::make_tag_queue(
-            baselines::QueueKind::MultibitTree, pipeline_queue_params(backend));
+            baselines::QueueKind::MultibitTree, host_queue_params(backend));
         Rng rng(seed);
         baselines::QueueEntry buf[kBatch];
         std::uint64_t cursor = 0;
@@ -123,79 +110,56 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
     return 2 * kOps;  // both backends' op streams are host work
 }
 
-PipelinePhaseResult run_pipeline_phase(obs::BenchReporter& reporter,
-                                       obs::HostProfiler& prof,
-                                       unsigned threads,
-                                       baselines::SorterBackend backend) {
+// --- host driver phase ---------------------------------------------------
+//
+// Drives the mixed workload through the full WFQ + sorter stack on the
+// sequential SimDriver. The scheduler owns its own hw::Simulation, so the
+// `hw.cycles` counter registered above stays byte-exact for the
+// perf-smoke gate. Returns the scheduler ops it ran: enqueue + dequeue
+// per delivered packet, enqueue alone per drop.
+std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
+                               obs::HostProfiler& prof,
+                               baselines::SorterBackend backend) {
     constexpr std::uint64_t kRate = 50'000'000;
     constexpr net::TimeNs kHorizon = 5'000'000'000;  // 5 s of traffic
-    const std::uint64_t seed = reporter.seed(3);
-    auto& reg = reporter.registry();
 
-    const auto timed_run = [&](auto&& driver) {
-        auto sched = make_wfq(kRate, backend);
-        auto flows = net::make_mixed_profile(kHorizon, seed);
-        const auto t0 = std::chrono::steady_clock::now();
-        net::SimResult r = driver.run(sched, flows);
-        const double sec =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        return std::pair<net::SimResult, double>{std::move(r), sec};
-    };
-
-    net::SimDriver seq_driver(kRate);
-    auto [seq, seq_sec] = timed_run(seq_driver);
-
-    net::ParallelSimDriver par_driver(kRate, threads);
-    par_driver.attach_metrics(reg);
+    net::SimDriver driver(kRate);
+    driver.attach_metrics(reporter.registry());
     // Telemetry rides only when asked for, so a plain run stays a true
     // telemetry-off baseline for the perf-smoke overhead gate.
     const bool telemetry =
         reporter.timeseries_enabled() || reporter.live_path().has_value();
     if (telemetry) {
         if (reporter.live_path()) prof.set_live_path(*reporter.live_path());
-        par_driver.attach_profiler(&prof);
+        driver.set_profiler(&prof);
+        prof.start_sampling();
     }
-    auto [par, par_sec] = timed_run(par_driver);
+    auto sched = make_wfq(kRate, backend);
+    auto flows = net::make_mixed_profile(kHorizon, reporter.seed(3));
+    const auto t0 = std::chrono::steady_clock::now();
+    const net::SimResult r = driver.run(sched, flows);
+    const double sec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (telemetry) prof.stop_sampling();
 
-    // One host "op" per scheduler engagement: enqueue + dequeue per
-    // delivered packet, enqueue alone per drop.
     const std::uint64_t ops =
-        2 * static_cast<std::uint64_t>(seq.records.size()) + seq.dropped_packets;
-    const double seq_ops_sec = seq_sec > 0 ? static_cast<double>(ops) / seq_sec : 0;
-    const double par_ops_sec = par_sec > 0 ? static_cast<double>(ops) / par_sec : 0;
-    const bool identical = net::identical_results(seq, par);
-
-    std::printf("host pipeline (--threads %u), %llu scheduler ops over %llu pkts:\n",
-                threads, static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(seq.offered_packets));
-    std::printf("  sequential           : %.0f ops/s\n", seq_ops_sec);
-    std::printf("  pipelined (%u thread%s): %.0f ops/s (%.2fx)\n", threads,
-                threads == 1 ? "" : "s", par_ops_sec,
-                seq_ops_sec > 0 ? par_ops_sec / seq_ops_sec : 0.0);
-    std::printf("  result fingerprint   : %016llx (%s sequential)\n",
-                static_cast<unsigned long long>(net::result_fingerprint(par)),
-                identical ? "IDENTICAL to" : "DIVERGED from");
-    std::printf("  sched batch mean     : %.1f arrivals/refill\n\n",
-                par_driver.pipeline_stats().avg_sched_batch());
+        2 * static_cast<std::uint64_t>(r.records.size()) + r.dropped_packets;
+    std::printf("host driver, %llu scheduler ops over %llu pkts: %.0f ops/s\n\n",
+                static_cast<unsigned long long>(ops),
+                static_cast<unsigned long long>(r.offered_packets),
+                sec > 0 ? static_cast<double>(ops) / sec : 0.0);
     if (telemetry) {
         std::printf("%s\n", prof.to_table().c_str());
         reporter.set_profiler(&prof);
     }
-
-    reg.gauge("host.pipeline.ops_per_sec").set(par_ops_sec);
-    reg.gauge("host.pipeline.sequential_ops_per_sec").set(seq_ops_sec);
-    reg.gauge("host.pipeline.speedup_vs_sequential")
-        .set(seq_ops_sec > 0 ? par_ops_sec / seq_ops_sec : 0.0);
-    reg.gauge("host.pipeline.identical_to_sequential").set(identical ? 1.0 : 0.0);
-    return {identical, 2 * ops};  // both runs count toward host throughput
+    return ops;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     obs::BenchReporter reporter("line_rate", argc, argv);
-    const unsigned threads = obs::bench_threads(argc, argv);  // validate up front
     const std::string backend_name = obs::bench_backend(argc, argv);
     const baselines::SorterBackend backend =
         *baselines::backend_from_name(backend_name);
@@ -263,21 +227,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
     const std::uint64_t throughput_ops = run_host_throughput_phase(reporter);
 
-    // --- host pipeline phase -------------------------------------------
+    // --- host driver phase ---------------------------------------------
     // Outlives reporter.finish(): the reporter exports its per-stage
     // timeline under "host_profile" when --timeseries is on.
     obs::HostProfiler prof;
-    const PipelinePhaseResult pipeline =
-        run_pipeline_phase(reporter, prof, threads, backend);
+    const std::uint64_t driver_ops = run_driver_phase(reporter, prof, backend);
 
-    reporter.record_host_ops(kOps + throughput_ops + pipeline.host_ops);
+    reporter.record_host_ops(kOps + throughput_ops + driver_ops);
     reporter.finish();
-    if (!pipeline.identical) {
-        std::fprintf(stderr,
-                     "FAIL: pipelined SimResult diverged from the sequential "
-                     "driver at --threads %u\n",
-                     threads);
-        return 1;
-    }
     return 0;
 }

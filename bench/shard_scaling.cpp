@@ -34,7 +34,6 @@
 #include "core/synthesis_model.hpp"
 #include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
-#include "net/parallel_driver.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
@@ -123,65 +122,31 @@ bool check_n1_identity(std::uint64_t seed) {
 }
 
 /// End-to-end wiring: a 4-bank sorter behind the full WFQ scheduler and
-/// SimDriver, switched on by the factory's num_banks knob alone. With a
-/// host-pipeline thread budget the same workload also runs through the
-/// ParallelSimDriver, which must reproduce the sequential SimResult bit
-/// for bit (the process exits non-zero otherwise).
-struct SchedulerDemoResult {
-    std::uint64_t delivered = 0;
-    bool identical = true;
-    double pipeline_ops_per_sec = 0.0;
-};
-
-SchedulerDemoResult run_scheduler_demo(unsigned threads,
-                                       baselines::SorterBackend backend,
-                                       obs::MetricsRegistry& reg) {
-    const auto make_sched = [backend] {
-        baselines::QueueParams params;
-        params.num_banks = 4;
-        params.backend = backend;
-        return scheduler::FairQueueingScheduler(
-            {20'000'000},
-            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params));
-    };
-    const auto make_flows = [] {
-        std::vector<net::FlowSpec> flows;
-        for (std::uint64_t f = 0; f < 8; ++f)
-            flows.push_back({std::make_unique<net::CbrSource>(
-                                 2'000'000, 500, net::TimeNs{f * 1000},
-                                 net::TimeNs{200'000'000}),
-                             static_cast<std::uint32_t>(1 + f % 4)});
-        return flows;
-    };
-
-    auto seq_sched = make_sched();
-    auto seq_flows = make_flows();
-    net::SimDriver seq_driver(20'000'000);
-    const net::SimResult seq = seq_driver.run(seq_sched, seq_flows);
-
-    auto par_sched = make_sched();
-    auto par_flows = make_flows();
-    net::ParallelSimDriver par_driver(20'000'000, threads);
-    par_driver.attach_metrics(reg);
-    const auto t0 = std::chrono::steady_clock::now();
-    const net::SimResult par = par_driver.run(par_sched, par_flows);
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
-    SchedulerDemoResult r;
-    r.delivered = seq.records.size();
-    r.identical = net::identical_results(seq, par);
-    const std::uint64_t ops = 2 * r.delivered + seq.dropped_packets;
-    r.pipeline_ops_per_sec = sec > 0 ? static_cast<double>(ops) / sec : 0.0;
-    return r;
+/// SimDriver, switched on by the factory's num_banks knob alone. Returns
+/// the delivered packet count.
+std::uint64_t run_scheduler_demo(baselines::SorterBackend backend,
+                                 obs::MetricsRegistry& reg) {
+    baselines::QueueParams params;
+    params.num_banks = 4;
+    params.backend = backend;
+    scheduler::FairQueueingScheduler sched(
+        {20'000'000},
+        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params));
+    std::vector<net::FlowSpec> flows;
+    for (std::uint64_t f = 0; f < 8; ++f)
+        flows.push_back({std::make_unique<net::CbrSource>(
+                             2'000'000, 500, net::TimeNs{f * 1000},
+                             net::TimeNs{200'000'000}),
+                         static_cast<std::uint32_t>(1 + f % 4)});
+    net::SimDriver driver(20'000'000);
+    driver.attach_metrics(reg);
+    return driver.run(sched, flows).records.size();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     obs::BenchReporter reporter("shard_scaling", argc, argv);
-    const unsigned threads = obs::bench_threads(argc, argv);  // validate up front
     const std::string backend_name = obs::bench_backend(argc, argv);
     const auto backend = *baselines::backend_from_name(backend_name);
     reporter.record_backend(backend_name);
@@ -250,31 +215,17 @@ int main(int argc, char** argv) {
                 identical ? "IDENTICAL" : "DIVERGED");
 
     // --- full-stack wiring demo -----------------------------------------
-    const SchedulerDemoResult demo = run_scheduler_demo(threads, backend, reg);
+    const std::uint64_t delivered = run_scheduler_demo(backend, reg);
     reg.gauge("shard_scaling.scheduler_demo_packets")
-        .set(static_cast<double>(demo.delivered));
-    reg.gauge("host.pipeline.ops_per_sec").set(demo.pipeline_ops_per_sec);
-    reg.gauge("host.pipeline.identical_to_sequential")
-        .set(demo.identical ? 1.0 : 0.0);
+        .set(static_cast<double>(delivered));
     std::printf("WFQ scheduler + SimDriver over a 4-bank sorter [%s]: %llu "
-                "packets delivered;\nhost pipeline at --threads %u: %.0f ops/s, "
-                "%s the sequential driver\n",
-                backend_name.c_str(),
-                static_cast<unsigned long long>(demo.delivered), threads,
-                demo.pipeline_ops_per_sec,
-                demo.identical ? "IDENTICAL to" : "DIVERGED from");
+                "packets delivered\n",
+                backend_name.c_str(), static_cast<unsigned long long>(delivered));
 
     reporter.record_host_ops(host_ops_total);
     reporter.finish();
     if (!identical) {
         std::fprintf(stderr, "FAIL: N=1 sharded run diverged from the bare sorter\n");
-        return 1;
-    }
-    if (!demo.identical) {
-        std::fprintf(stderr,
-                     "FAIL: pipelined SimResult diverged from the sequential "
-                     "driver at --threads %u\n",
-                     threads);
         return 1;
     }
     return 0;

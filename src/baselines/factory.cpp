@@ -12,11 +12,6 @@
 #include "common/bits.hpp"
 #include <bit>
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include "core/ffs_sorter.hpp"
 #include "core/sharded_sorter.hpp"
 
@@ -126,8 +121,6 @@ public:
 
     hw::Simulation* simulation() override { return &sim_; }
 
-    const core::ShardedSorter& sorter() const { return sorter_; }
-
 private:
     hw::Simulation sim_;
     core::ShardedSorter sorter_;
@@ -140,80 +133,6 @@ tree::TreeGeometry multibit_geometry(unsigned range_bits) {
     const unsigned levels = static_cast<unsigned>(ceil_div(range_bits, 4));
     return tree::TreeGeometry{levels, 4};
 }
-
-/// Persistent worker pool for per-bank parallel batch inserts. Workers
-/// sleep on a condition variable between batches; run() hands out one
-/// task per bank (worker w takes banks w, w+N, ...) and blocks until all
-/// complete. Task exceptions are captured and rethrown in the caller.
-class BankPool {
-public:
-    explicit BankPool(unsigned workers) {
-        threads_.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            threads_.emplace_back([this, w] { loop(w); });
-    }
-    ~BankPool() {
-        {
-            const std::lock_guard<std::mutex> g(m_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (auto& t : threads_) t.join();
-    }
-
-    unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-    void run(const std::vector<std::function<void()>>& tasks) {
-        std::unique_lock<std::mutex> g(m_);
-        tasks_ = &tasks;
-        pending_ = workers();
-        first_error_ = nullptr;
-        ++epoch_;
-        cv_.notify_all();
-        done_cv_.wait(g, [this] { return pending_ == 0; });
-        tasks_ = nullptr;
-        if (first_error_) std::rethrow_exception(first_error_);
-    }
-
-private:
-    void loop(unsigned wid) {
-        std::uint64_t seen = 0;
-        for (;;) {
-            const std::vector<std::function<void()>>* tasks = nullptr;
-            {
-                std::unique_lock<std::mutex> g(m_);
-                cv_.wait(g, [&] { return stop_ || epoch_ != seen; });
-                if (stop_) return;
-                seen = epoch_;
-                tasks = tasks_;
-            }
-            std::exception_ptr err;
-            for (std::size_t i = wid; i < tasks->size(); i += threads_.size()) {
-                try {
-                    (*tasks)[i]();
-                } catch (...) {
-                    if (!err) err = std::current_exception();
-                }
-            }
-            {
-                const std::lock_guard<std::mutex> g(m_);
-                if (err && !first_error_) first_error_ = err;
-                --pending_;
-            }
-            done_cv_.notify_one();
-        }
-    }
-
-    std::mutex m_;
-    std::condition_variable cv_;
-    std::condition_variable done_cv_;
-    std::vector<std::thread> threads_;
-    const std::vector<std::function<void()>>* tasks_ = nullptr;
-    std::uint64_t epoch_ = 0;
-    unsigned pending_ = 0;
-    bool stop_ = false;
-    std::exception_ptr first_error_;
-};
 
 /// The host-native backend behind the TagQueue interface: N FfsSorter
 /// banks under the ShardedSorter's tag-interleave encoding (bank =
@@ -292,11 +211,6 @@ public:
             record_batch(OpScope::Kind::Insert, n, n);
             return;
         }
-        if (pool_ && n >= kParallelBatchMin && batch_fully_accepted(entries, n)) {
-            parallel_insert(entries, n);
-            record_batch(OpScope::Kind::Insert, n, n);
-            return;
-        }
         // Scalar-loop semantics (a throw leaves entries [0, i) applied).
         std::size_t done = 0;
         try {
@@ -346,30 +260,7 @@ public:
     std::string model() const override { return "sort"; }
     std::string complexity() const override { return complexity_; }
 
-    bool recover() override {
-        for (auto& bank : banks_) {
-            const auto report = bank.audit();
-            if (report.clean()) continue;
-            if (!bank.repair(report)) bank.rebuild();
-        }
-        return true;
-    }
-
-    bool set_worker_threads(unsigned n) override {
-        if (n == 0) {
-            pool_.reset();
-            return true;
-        }
-        if (banks_.size() < 2) return false;  // nothing to parallelize over
-        if (!pool_ || pool_->workers() != n) pool_ = std::make_unique<BankPool>(n);
-        return true;
-    }
-
-    const core::FfsSorter& bank(unsigned b) const { return banks_[b]; }
-    unsigned num_banks() const { return static_cast<unsigned>(banks_.size()); }
-
 private:
-    static constexpr std::size_t kParallelBatchMin = 64;
     static constexpr std::size_t kBatchChunk = 64;
 
     unsigned bank_of(std::uint64_t tag) const {
@@ -405,68 +296,9 @@ private:
                           popped->payload};
     }
 
-    /// Dry-run every accept decision against shadow bank registers. The
-    /// accept predicate depends only on (size, head, max), and an insert's
-    /// effect on those is pure arithmetic, so this predicts the scalar
-    /// loop's outcome exactly. Only a fully-accepted batch is dispatched
-    /// to the workers — exceptions never have to cross threads and the
-    /// "[0, i) applied" contract stays trivially true.
-    bool batch_fully_accepted(const QueueEntry* entries, std::size_t n) const {
-        struct Shadow {
-            std::size_t size;
-            std::uint64_t head, max;
-        };
-        std::vector<Shadow> shadow(banks_.size());
-        for (unsigned b = 0; b < banks_.size(); ++b)
-            shadow[b] = {banks_[b].size(), banks_[b].head_logical(),
-                         banks_[b].max_logical()};
-        const std::size_t cap = banks_[0].capacity();
-        const std::uint64_t span = banks_[0].window_span();
-        const bool strict = banks_[0].config().strict_min_discipline;
-        for (std::size_t i = 0; i < n; ++i) {
-            const unsigned b = bank_of(entries[i].tag);
-            const std::uint64_t local = local_of(entries[i].tag);
-            Shadow& s = shadow[b];
-            if (s.size >= cap) return false;
-            if (s.size != 0) {
-                if (strict && local < s.head) return false;
-                const std::uint64_t lo = std::min(local, s.head);
-                const std::uint64_t hi = std::max(local, s.max);
-                if (hi - lo >= span) return false;
-                s.head = std::min(s.head, local);
-                s.max = std::max(s.max, local);
-            } else {
-                s.head = s.max = local;
-            }
-            ++s.size;
-        }
-        return true;
-    }
-
-    void parallel_insert(const QueueEntry* entries, std::size_t n) {
-        // Partition in stream order: per-bank order is what determines the
-        // final state (banks are independent), so the result is
-        // bit-identical to the sequential loop.
-        std::vector<std::vector<core::SortedTag>> split(banks_.size());
-        for (auto& v : split) v.reserve(n / banks_.size() + 1);
-        for (std::size_t i = 0; i < n; ++i)
-            split[bank_of(entries[i].tag)].push_back(
-                {local_of(entries[i].tag), entries[i].payload});
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(banks_.size());
-        for (unsigned b = 0; b < banks_.size(); ++b) {
-            if (split[b].empty()) continue;
-            tasks.push_back([this, b, &split] {
-                banks_[b].insert_batch(split[b].data(), split[b].size());
-            });
-        }
-        pool_->run(tasks);
-    }
-
     std::vector<core::FfsSorter> banks_;
     unsigned shift_ = 0;
     std::uint64_t bank_mask_ = 0;
-    std::unique_ptr<BankPool> pool_;
     std::string name_;
     std::string complexity_;
 };

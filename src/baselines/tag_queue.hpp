@@ -48,11 +48,14 @@ class TagQueue {
 public:
     virtual ~TagQueue() = default;
 
+    /// The sorter-backed queues throw std::overflow_error when full and
+    /// std::invalid_argument on a tag that would stretch their wrap
+    /// window (Fig. 6), both before the stored set changes.
     virtual void insert(std::uint64_t tag, std::uint32_t payload) = 0;
     virtual std::optional<QueueEntry> pop_min() = 0;
     virtual std::optional<QueueEntry> peek_min() = 0;
 
-    /// Bulk insert for the batched host pipeline: semantically `n` scalar
+    /// Bulk insert for host-throughput callers: semantically `n` scalar
     /// inserts in order. The default is exactly that loop; sorter-backed
     /// queues override it to pay the virtual dispatch, stats bracket, and
     /// trace span once per batch. Overrides keep per-op *cycle*
@@ -100,16 +103,6 @@ public:
     /// Lets harnesses attach fault injectors and ECC without knowing the
     /// concrete type.
     virtual hw::Simulation* simulation() { return nullptr; }
-
-    /// Ask for `n` host worker threads behind the bulk entry points
-    /// (per-bank parallel insert_batch on the multi-bank ffs backend;
-    /// results stay bit-identical to the sequential path). Returns false
-    /// when this queue has no parallel story (everything else). 0 turns
-    /// workers off again.
-    virtual bool set_worker_threads(unsigned n) {
-        (void)n;
-        return false;
-    }
 
     const QueueStats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }

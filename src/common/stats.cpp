@@ -100,15 +100,6 @@ void Histogram::add(double x) {
     ++total_;
 }
 
-void Histogram::merge(const Histogram& other) {
-    WFQS_REQUIRE(lo_ == other.lo_ && hi_ == other.hi_ &&
-                     counts_.size() == other.counts_.size(),
-                 "histogram merge needs identical bin geometry");
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    nan_rejects_ += other.nan_rejects_;
-}
-
 double Histogram::bin_lo(std::size_t i) const {
     return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
 }

@@ -62,12 +62,10 @@ public:
     void add(double x);
     /// Direct single-bin credit for callers that already know the bin
     /// index (the integer fast lane). Precondition: bin < bin_count().
-    void bump(std::size_t bin, std::uint64_t n = 1) {
-        counts_[bin] += n;
-        total_ += n;
+    void bump(std::size_t bin) {
+        ++counts_[bin];
+        ++total_;
     }
-    /// Fold another histogram's counts in. Geometries must be identical.
-    void merge(const Histogram& other);
     std::uint64_t total() const { return total_; }
     std::uint64_t nan_rejects() const { return nan_rejects_; }
     std::size_t bin_count() const { return counts_.size(); }

@@ -49,20 +49,10 @@ FfsSorter::FfsSorter(const Config& config)
     chains_.resize(static_cast<std::size_t>(slots));
     slot_mask_ = static_cast<std::uint32_t>(slots - 1);
     sector_occupancy_.resize(branching_, 0);
-    reset_structures();
-}
-
-void FfsSorter::reset_structures() {
-    for (auto& level : levels_) level.clear();
-    std::fill(chains_.begin(), chains_.end(), Chain{});
-    for (std::size_t i = 0; i < capacity_; ++i) {
-        nodes_[i].payload = 0;
-        nodes_[i].value = kNullValue;
+    // Every node starts on the free list, in index order.
+    for (std::size_t i = 0; i < capacity_; ++i)
         nodes_[i].next = i + 1 < capacity_ ? static_cast<std::uint32_t>(i + 1) : kNull;
-    }
     free_head_ = 0;
-    std::fill(sector_occupancy_.begin(), sector_occupancy_.end(), 0);
-    size_ = 0;
 }
 
 // -- bitmap -----------------------------------------------------------------
@@ -215,10 +205,6 @@ void FfsSorter::free_node(std::uint32_t n) {
 
 // -- window discipline ------------------------------------------------------
 
-std::uint64_t FfsSorter::window_span() const {
-    return range_ - range_ / branching_;
-}
-
 bool FfsSorter::can_accept(std::uint64_t logical) const {
     if (full()) return false;
     if (empty()) return true;
@@ -240,26 +226,14 @@ void FfsSorter::validate_incoming(std::uint64_t logical) const {
                  "tag would stretch the live window beyond the wrap limit (Fig. 6)");
 }
 
-void FfsSorter::clear_sector(unsigned sector) {
-    // With immediate last-duplicate retirement a passed sector is already
-    // empty; this is the paper's bulk-hygiene flash clear, kept for
-    // behavioural parity with the model backend.
-    const std::uint64_t lo = sector * sector_size_;
-    const std::uint64_t hi = lo + sector_size_;
-    std::uint64_t p = lo;
-    for (;;) {
-        const auto hit = next_geq(p);
-        if (!hit || *hit >= hi) return;
-        bit_clear(*hit);
-        if (*hit + 1 >= hi) return;
-        p = *hit + 1;
-    }
-}
-
 void FfsSorter::advance_window(std::uint64_t new_head_physical) {
     const unsigned new_sector = sector_of(new_head_physical);
     while (lead_sector_ != new_sector) {
-        clear_sector(lead_sector_);
+        // The paper flash-clears a sector the head has passed. Here it is
+        // already empty: every live tag sits in [head, head + span), and
+        // a passed sector lies outside that window on both laps, while
+        // immediate last-duplicate retirement leaves no stale markers.
+        WFQS_ASSERT(sector_occupancy_[lead_sector_] == 0);
         lead_sector_ = (lead_sector_ + 1) % branching_;
         ++stats_.sector_invalidations;
     }
@@ -590,7 +564,7 @@ fault::AuditReport FfsSorter::audit() const {
     }
     if (size_ != 0 && chain_slot(head_logical_ & (range_ - 1)) == kNull) {
         // The head register cannot be re-derived from the structures (it
-        // carries the logical epoch); only a rebuild restores service.
+        // carries the logical epoch).
         issue(fault::IntegrityKind::kTreeInvariant,
               "no stored entry at the registered minimum", false);
     }
@@ -598,110 +572,6 @@ fault::AuditReport FfsSorter::audit() const {
     report.entries_walked = walked;
     if (!report.clean()) ++stats_.audits;
     return report;
-}
-
-bool FfsSorter::repair(const fault::AuditReport& report) {
-    if (report.clean()) return true;
-    if (!report.fully_repairable()) return false;
-
-    // Every repairable class is fixed the same way: the chain table is the
-    // ground truth, so recompute all derived structures from it.
-    std::vector<char> live(capacity_, 0);
-    std::uint64_t walked = 0;
-    for (auto& level : levels_) level.clear();
-    std::fill(sector_occupancy_.begin(), sector_occupancy_.end(), 0);
-    for (Chain& chain : chains_) {
-        if (chain.key == kNullValue) continue;
-        const std::uint64_t p = chain.key;
-        std::uint32_t n = chain.head;
-        std::uint32_t last = kNull;
-        std::uint64_t len = 0;
-        while (n != kNull) {
-            if (n >= capacity_ || live[n] != 0 || len >= capacity_) return false;
-            nodes_[n].value = p;
-            live[n] = 1;
-            ++len;
-            last = n;
-            n = nodes_[n].next;
-        }
-        chain.tail = last;
-        bit_set(p);
-        sector_occupancy_[sector_of(p)] += static_cast<std::uint32_t>(len);
-        walked += len;
-    }
-    free_head_ = kNull;
-    for (std::size_t i = capacity_; i-- > 0;) {
-        if (live[i]) continue;
-        nodes_[i].value = kNullValue;
-        nodes_[i].next = free_head_;
-        free_head_ = static_cast<std::uint32_t>(i);
-    }
-    size_ = walked;
-    if (size_ != 0) lead_sector_ = sector_of(head_logical_ & (range_ - 1));
-    ++stats_.repairs;
-    return true;
-}
-
-std::size_t FfsSorter::rebuild() {
-    const std::uint64_t head_physical = head_logical_ & (range_ - 1);
-    const std::size_t prior = size_;
-
-    // Salvage every node still reachable from an intact chain slot.
-    std::vector<char> visited(capacity_, 0);
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-    entries.reserve(std::min(prior, capacity_));
-    for (const Chain& chain : chains_) {
-        if (chain.key == kNullValue || chain.key >= range_) continue;
-        const std::uint64_t p = chain.key;
-        std::uint32_t n = chain.head;
-        std::uint64_t len = 0;
-        while (n != kNull && n < capacity_ && visited[n] == 0 &&
-               len < capacity_) {
-            visited[n] = 1;
-            entries.emplace_back(p, nodes_[n].payload);
-            ++len;
-            n = nodes_[n].next;
-        }
-    }
-    // Wrap order from the current head preserves logical continuity; the
-    // stable sort keeps FIFO order among duplicates (each value's nodes
-    // were collected contiguously in chain order).
-    std::stable_sort(entries.begin(), entries.end(),
-                     [&](const auto& a, const auto& b) {
-                         return ((a.first - head_physical) & (range_ - 1)) <
-                                ((b.first - head_physical) & (range_ - 1));
-                     });
-
-    reset_structures();
-    if (!entries.empty()) {
-        const std::uint64_t base = head_logical_;
-        for (const auto& [p, payload] : entries) {
-            const std::uint64_t logical =
-                base + ((p - head_physical) & (range_ - 1));
-            const std::uint32_t node = alloc_node(p, payload);
-            Chain* chain = chain_find(p);
-            if (chain != nullptr) {
-                nodes_[chain->tail].next = node;
-                chain->tail = node;
-            } else {
-                Chain& fresh = chain_insert(p);
-                fresh.head = fresh.tail = node;
-                bit_set(p);
-            }
-            ++sector_occupancy_[sector_of(p)];
-            ++size_;
-            max_logical_ = logical;
-        }
-        head_logical_ =
-            base + ((entries.front().first - head_physical) & (range_ - 1));
-        lead_sector_ = sector_of(entries.front().first);
-    }
-
-    const std::size_t lost = prior > entries.size() ? prior - entries.size() : 0;
-    ++stats_.rebuilds;
-    stats_.rebuild_recovered += entries.size();
-    stats_.rebuild_lost += lost;
-    return lost;
 }
 
 // -- observability ----------------------------------------------------------

@@ -4,7 +4,7 @@
 //
 // `FfsSorter` implements the full `TagSorter` contract — moving tag-wrap
 // window, sector invalidation, immediate last-duplicate retirement,
-// audit/repair/rebuild, batched ops, identical exception behaviour — but
+// audit, batched ops, identical exception behaviour — but
 // with no `hw::Simulation` behind it. Where `TagSorter` walks SRAM-modeled
 // tree nodes one matcher cycle at a time, this backend keeps one hierarchical
 // bitmap: level 0 has one bit per representable tag value, packed 64 values
@@ -154,19 +154,11 @@ public:
 
     /// Cross-check bitmap levels, duplicate chains, the free list, and the
     /// per-sector occupancy counters against each other. Pure inspection;
-    /// never throws; only findings bump the `audits` counter.
+    /// never throws; only findings bump the `audits` counter. There is no
+    /// repair path: this backend has no modeled memory and no fault
+    /// injector, so only the corruption hooks below can damage it — the
+    /// audit is the differ's invariant check.
     fault::AuditReport audit() const;
-
-    /// Recompute every derived structure (summary levels, chain tails,
-    /// free list, occupancy, size) from the chain table + leaf bitmap
-    /// ground truth. Returns false (doing nothing) when `report` contains
-    /// an unrepairable issue — call rebuild() instead.
-    bool repair(const fault::AuditReport& report);
-
-    /// Drain-and-resort salvage: walk every reachable chain node, wipe all
-    /// structures, re-insert in wrap order from the current head (logical
-    /// tag continuity preserved). Returns the number of entries lost.
-    std::size_t rebuild();
 
     // -- observers ---------------------------------------------------------
 
@@ -177,12 +169,11 @@ public:
     const Config& config() const { return config_; }
 
     bool can_accept(std::uint64_t logical) const;
-    std::uint64_t window_span() const;
+    std::uint64_t window_span() const { return range_ - sector_size_; }
 
-    /// Head/max registers (meaningful while non-empty). The sharded ffs
-    /// queue's batch validator simulates accept decisions from these.
+    /// Head register (meaningful while non-empty): the sharded ffs
+    /// queue's head merge compares banks on it.
     std::uint64_t head_logical() const { return head_logical_; }
-    std::uint64_t max_logical() const { return max_logical_; }
 
     const SorterStats& stats() const { return stats_; }
 
@@ -236,7 +227,6 @@ private:
 
     void validate_incoming(std::uint64_t logical) const;
     void advance_window(std::uint64_t new_head_physical);
-    void clear_sector(unsigned sector);
 
     unsigned sector_of(std::uint64_t physical) const {
         return static_cast<unsigned>(physical / sector_size_);
@@ -256,8 +246,6 @@ private:
 
     std::uint32_t alloc_node(std::uint64_t value, std::uint32_t payload);
     void free_node(std::uint32_t n);
-
-    void reset_structures();  ///< wipe bitmap/chains/pool to the empty state
 
     Config config_;
     std::uint64_t range_;        ///< 2^tag_bits

@@ -191,10 +191,8 @@ std::optional<SortedTag> ShardedSorter::pop_min() {
     return SortedTag{to_global(popped->tag, b), popped->payload};
 }
 
-void ShardedSorter::insert_batch(const SortedTag* entries, std::size_t n,
-                                 const std::uint64_t* flow_keys) {
-    for (std::size_t i = 0; i < n; ++i)
-        insert(entries[i].tag, entries[i].payload, flow_keys ? flow_keys[i] : 0);
+void ShardedSorter::insert_batch(const SortedTag* entries, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) insert(entries[i].tag, entries[i].payload);
 }
 
 std::size_t ShardedSorter::pop_batch(SortedTag* out, std::size_t max_n) {

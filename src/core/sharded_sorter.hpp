@@ -120,12 +120,10 @@ public:
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload,
                              std::uint64_t flow_key = 0);
 
-    /// Bulk insert: semantically `n` scalar inserts in order (identical
-    /// bank engagements, clock advance, and stats), dispatched with one
-    /// call for the batched host pipeline. `flow_keys` may be null when
-    /// the bank select ignores flows (kTagInterleave).
-    void insert_batch(const SortedTag* entries, std::size_t n,
-                      const std::uint64_t* flow_keys = nullptr);
+    /// Bulk insert: semantically `n` scalar inserts with flow key 0, in
+    /// order (identical bank engagements, clock advance, and stats),
+    /// dispatched with one call for host-throughput callers.
+    void insert_batch(const SortedTag* entries, std::size_t n);
 
     /// Bulk pop: up to `max_n` pops into `out`, stopping when empty;
     /// returns the count. Same per-op accounting as scalar pop_min.

@@ -115,7 +115,7 @@ public:
     /// departing slot. Precondition: non-empty.
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload);
 
-    /// Bulk insert for the batched host pipeline: semantically `n` scalar
+    /// Bulk insert for host-throughput callers: semantically `n` scalar
     /// inserts in order — identical clock advance, stats, histogram
     /// samples, and exception behavior (a throw leaves entries [0, i)
     /// applied, like a scalar loop would) — but the host-side trace span

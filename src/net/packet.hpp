@@ -17,6 +17,8 @@ struct Packet {
     TimeNs arrival_ns = 0;
 
     std::uint32_t size_bits() const { return size_bytes * 8; }
+
+    friend bool operator==(const Packet&, const Packet&) = default;
 };
 
 /// Completed transmission record produced by the simulation driver.
@@ -26,6 +28,8 @@ struct PacketRecord {
     TimeNs departure_ns = 0;  ///< transmission completed
 
     TimeNs delay_ns() const { return departure_ns - packet.arrival_ns; }
+
+    friend bool operator==(const PacketRecord&, const PacketRecord&) = default;
 };
 
 /// Serialization time of a packet on a link.

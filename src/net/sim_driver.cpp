@@ -124,8 +124,8 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         const Packet pkt{next_packet_id++, static_cast<FlowId>(a.source),
                          a.size_bytes, a.time};
         {
-            // Arrival-side result/metric recording is egress-stage work in
-            // the pipeline; attribute it the same way here.
+            // Arrival-side result/metric recording is bookkeeping, not
+            // generation: attribute it to the egress section.
             auto scope = egress_timer.time();
             result.all_arrivals.push_back(pkt);
             ++result.offered_packets;

@@ -26,6 +26,8 @@ struct SimResult {
     std::uint64_t dropped_packets = 0;
     std::uint64_t sorter_faults = 0;      ///< FaultErrors recovered in-run
     TimeNs last_departure_ns = 0;
+
+    friend bool operator==(const SimResult&, const SimResult&) = default;
 };
 
 class SimDriver {
@@ -38,9 +40,8 @@ public:
     void attach_metrics(obs::MetricsRegistry& registry);
 
     /// Attribute the sequential loop's time to gen/sched/egress stage
-    /// sections with 1-in-64 SampledTimer brackets (see obs::HostProfiler;
-    /// this is what bounds the host pipeline's achievable speedup). The
-    /// caller owns the profiler's sampling lifecycle; null detaches.
+    /// sections with 1-in-64 SampledTimer brackets (see obs::HostProfiler).
+    /// The caller owns the profiler's sampling lifecycle; null detaches.
     void set_profiler(obs::HostProfiler* profiler) { profiler_ = profiler; }
 
     /// Registers every flow with the scheduler (in order — flow ids are

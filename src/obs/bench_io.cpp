@@ -80,35 +80,6 @@ std::optional<std::uint64_t> bench_seed_override(int argc, char** argv) {
     return std::nullopt;
 }
 
-unsigned bench_threads(int argc, char** argv) {
-    const auto parse = [&](const char* text) -> unsigned {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(text, &end, 10);
-        if (end == text || *end != '\0' || v == 0 || v > 256) {
-            std::fprintf(stderr,
-                         "%s: --threads must be an integer in [1, 256], got '%s'\n",
-                         argv[0], text);
-            std::exit(2);
-        }
-        return static_cast<unsigned>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char* a = argv[i];
-        if (std::strcmp(a, "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --threads needs a value argument\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            return parse(argv[i + 1]);
-        }
-        if (std::strncmp(a, "--threads=", 10) == 0) return parse(a + 10);
-    }
-    if (const char* env = std::getenv("WFQS_THREADS"); env && *env)
-        return parse(env);
-    return 1;
-}
-
 std::string bench_backend(int argc, char** argv) {
     const auto check = [&](const char* text) -> std::string {
         if (std::strcmp(text, "model") != 0 && std::strcmp(text, "ffs") != 0) {

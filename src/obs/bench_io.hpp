@@ -58,11 +58,6 @@ std::optional<std::string> bench_json_path(const std::string& bench_name,
 /// nullopt means "use each site's default".
 std::optional<std::uint64_t> bench_seed_override(int argc, char** argv);
 
-/// Resolve the host-pipeline thread budget from `--threads <n>` /
-/// `--threads=<n>` / WFQS_THREADS (flag wins). Returns 1 — the
-/// sequential SimDriver path — when nothing is requested; 0 is rejected.
-unsigned bench_threads(int argc, char** argv);
-
 /// Resolve the sorter backend from `--backend model|ffs` / `--backend=` /
 /// WFQS_BACKEND (flag wins). Returns the backend *name*; "model" when
 /// nothing is requested; anything else is rejected. bench_io stays

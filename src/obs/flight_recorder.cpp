@@ -20,7 +20,6 @@ const char* event_kind_name(FlightEventKind k) {
         case FlightEventKind::kFault: return "fault";
         case FlightEventKind::kScrub: return "scrub";
         case FlightEventKind::kRecovery: return "recovery";
-        case FlightEventKind::kStall: return "stall";
         case FlightEventKind::kDivergence: return "divergence";
         case FlightEventKind::kReshard: return "reshard";
         case FlightEventKind::kNote: return "note";

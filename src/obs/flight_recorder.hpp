@@ -1,5 +1,5 @@
 // FlightRecorder: a fixed-size ring of the last K structured events —
-// sorter ops, faults, scrub outcomes, recoveries, pipeline stalls,
+// sorter ops, faults, scrub outcomes, recoveries, reshard steps,
 // conformance divergences — dumped as a post-mortem artifact when
 // something goes wrong (fault escalation, divergence, crash).
 //
@@ -16,10 +16,11 @@
 //
 // Installation is process-global, like obs::Tracer: components record
 // through current() with a single pointer test when no recorder is
-// installed. Recording takes an internal mutex so pipeline stage threads
-// can share one ring. arm_crash_dump() registers std::terminate and
-// fatal-signal hooks that write the ring before the process dies; the
-// signal path skips the mutex (best effort beats a deadlocked handler).
+// installed. Recording takes an internal mutex so wfqs_fuzz's soak
+// workers can share one ring. arm_crash_dump() registers std::terminate
+// and fatal-signal hooks that write the ring before the process dies;
+// the signal path skips the mutex (best effort beats a deadlocked
+// handler).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,6 @@ enum class FlightEventKind : std::uint8_t {
     kFault,       ///< injected/detected fault (a = bank or flow, b = detail)
     kScrub,       ///< scrub pass (a = ScrubAction, b = repaired count)
     kRecovery,    ///< recovery completed (a = 1-based retry attempt)
-    kStall,       ///< pipeline stall episode (a = stage, b = ns waited)
     kDivergence,  ///< conformance divergence detected (a = op index)
     kReshard,     ///< online reshard step (a = 0 add / 1 fence / 2 detach /
                   ///<   3 rebalance trigger, b = bank index)

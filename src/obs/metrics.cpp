@@ -26,55 +26,6 @@ RunningStats CycleHistogram::stats() const {
     return s;
 }
 
-void CycleHistogram::record_cycles(std::uint64_t cycles, std::uint64_t n) {
-    constexpr std::uint64_t kSquareSafe = std::uint64_t{1} << 31;
-    constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
-    const std::uint64_t sq = cycles < kSquareSafe ? cycles * cycles : 0;
-    const bool block_fits =
-        unit_bins_ && cycles < kSquareSafe &&
-        (cycles == 0 || n <= (kU64Max - isum_) / cycles) &&
-        (sq == 0 || n <= (kU64Max - isumsq_) / sq);
-    if (!block_fits) {
-        // Rare lane (non-unit bins or accumulators near overflow): the
-        // scalar path already knows how to spill to the double lane.
-        for (std::uint64_t i = 0; i < n; ++i) record_cycles(cycles);
-        return;
-    }
-    icount_ += n;
-    isum_ += cycles * n;
-    isumsq_ += sq * n;
-    imin_ = cycles < imin_ ? cycles : imin_;
-    imax_ = cycles > imax_ ? cycles : imax_;
-    const std::size_t last = hist_.bin_count() - 1;
-    hist_.bump(cycles < last ? static_cast<std::size_t>(cycles) : last, n);
-}
-
-void CycleHistogram::merge(const CycleHistogram& other) {
-    constexpr std::uint64_t kU64Max = ~std::uint64_t{0};
-    hist_.merge(other.hist_);  // rejects geometry mismatches first
-    stats_.merge(other.stats_);
-    if (other.icount_ == 0) return;
-    if (isum_ > kU64Max - other.isum_ || isumsq_ > kU64Max - other.isumsq_) {
-        // Integer lanes together would wrap: fold the other side's lane
-        // into the double-lane moments instead (same math as stats()).
-        const long double n = static_cast<long double>(other.icount_);
-        const long double sum = static_cast<long double>(other.isum_);
-        const long double mean = sum / n;
-        const long double m2 =
-            static_cast<long double>(other.isumsq_) - n * mean * mean;
-        stats_.merge(RunningStats::from_moments(
-            other.icount_, static_cast<double>(mean), static_cast<double>(m2),
-            static_cast<double>(other.imin_), static_cast<double>(other.imax_),
-            static_cast<double>(sum)));
-        return;
-    }
-    icount_ += other.icount_;
-    isum_ += other.isum_;
-    isumsq_ += other.isumsq_;
-    imin_ = other.imin_ < imin_ ? other.imin_ : imin_;
-    imax_ = other.imax_ > imax_ ? other.imax_ : imax_;
-}
-
 double CycleHistogram::approx_quantile(double q) const {
     WFQS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
     const RunningStats s = stats();

@@ -99,18 +99,6 @@ public:
         hist_.bump(cycles < last ? static_cast<std::size_t>(cycles) : last);
     }
 
-    /// Bulk credit: `n` identical samples in one call (the batched host
-    /// pipeline records one value per batch; the --threads 1 delegate
-    /// path records its whole run at once). Falls back to per-sample
-    /// recording when the fast lane cannot hold the block exactly.
-    void record_cycles(std::uint64_t cycles, std::uint64_t n);
-
-    /// Fold another histogram in (both lanes + bins). Geometries must be
-    /// identical. This is what makes windowed/per-thread histograms
-    /// mergeable: record locally off the shared registry, merge at
-    /// quiescence.
-    void merge(const CycleHistogram& other);
-
     /// Combined summary over both recording lanes. Exact for the integer
     /// lane (moments accumulate in uint64), Welford for the double lane.
     RunningStats stats() const;

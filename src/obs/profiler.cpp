@@ -13,7 +13,6 @@ namespace wfqs::obs {
 const char* HostProfiler::stage_name(Stage s) {
     switch (s) {
         case Stage::kGen: return "gen";
-        case Stage::kMerge: return "merge";
         case Stage::kSched: return "sched";
         case Stage::kEgress: return "egress";
     }
@@ -27,12 +26,6 @@ HostProfiler::HostProfiler(std::size_t budget, std::chrono::milliseconds period)
 
 HostProfiler::~HostProfiler() {
     if (sampler_.joinable()) stop_sampling();
-}
-
-void HostProfiler::add_gauge(const std::string& name,
-                             std::function<double()> fn) {
-    WFQS_REQUIRE(!sampling(), "register probes before start_sampling()");
-    series_.add_gauge(name, std::move(fn));
 }
 
 void HostProfiler::add_counter(const std::string& name,
@@ -62,8 +55,6 @@ void HostProfiler::register_stage_probes() {
         const StageCounters* c = &stages_[i];
         series_.add_counter(base + ".items",
                             [c] { return c->items(); });
-        series_.add_counter(base + ".stall_ns",
-                            [c] { return c->stall_ns(); });
         series_.add_counter(base + ".busy_ns",
                             [c] { return c->busy_ns(); });
     }
@@ -102,7 +93,6 @@ double HostProfiler::elapsed_seconds() const {
 }
 
 std::vector<HostProfiler::StageSummary> HostProfiler::summary() const {
-    const double alive_ns = elapsed_seconds() * 1e9;
     std::uint64_t total_busy = 0;
     for (const auto& c : stages_) total_busy += c.busy_ns();
     std::vector<StageSummary> out;
@@ -111,22 +101,11 @@ std::vector<HostProfiler::StageSummary> HostProfiler::summary() const {
         const StageCounters& c = stages_[i];
         StageSummary s{};
         s.name = stage_name(static_cast<Stage>(i));
-        s.threads = stage_threads_[i];
         s.items = c.items();
-        s.batches = c.batches();
-        s.stall_episodes = c.stall_episodes();
-        s.stall_ns = c.stall_ns();
         s.busy_ns = c.busy_ns();
-        if (s.busy_ns > 0 && total_busy > 0) {
-            // Sampled-busy mode (sequential sections): share of measured
-            // time, which is what bounds a pipeline's speedup.
+        if (total_busy > 0)
             s.busy_fraction =
                 static_cast<double>(s.busy_ns) / static_cast<double>(total_busy);
-        } else if (s.threads > 0 && alive_ns > 0.0) {
-            const double budget = alive_ns * static_cast<double>(s.threads);
-            double frac = 1.0 - static_cast<double>(s.stall_ns) / budget;
-            s.busy_fraction = frac < 0.0 ? 0.0 : frac;
-        }
         out.push_back(s);
     }
     return out;
@@ -137,7 +116,7 @@ HostProfiler::Stage HostProfiler::bottleneck() const {
     std::size_t best = static_cast<std::size_t>(Stage::kSched);
     double best_frac = -1.0;
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i].items == 0 && s[i].threads == 0) continue;
+        if (s[i].items == 0 && s[i].busy_ns == 0) continue;
         if (s[i].busy_fraction > best_frac) {
             best_frac = s[i].busy_fraction;
             best = i;
@@ -154,11 +133,7 @@ void HostProfiler::write_json(JsonWriter& w) const {
     for (const StageSummary& s : summary()) {
         w.begin_object();
         w.field("name", s.name);
-        w.field("threads", static_cast<std::uint64_t>(s.threads));
         w.field("items", s.items);
-        w.field("batches", s.batches);
-        w.field("stall_episodes", s.stall_episodes);
-        w.field("stall_ns", s.stall_ns);
         w.field("busy_ns", s.busy_ns);
         w.field("busy_fraction", s.busy_fraction);
         w.end_object();
@@ -170,13 +145,10 @@ void HostProfiler::write_json(JsonWriter& w) const {
 }
 
 std::string HostProfiler::to_table() const {
-    TextTable t({"stage", "threads", "items", "stalls", "stall_ms", "busy_ms",
-                 "busy_frac"});
+    TextTable t({"stage", "items", "busy_ms", "busy_frac"});
     for (const StageSummary& s : summary()) {
-        if (s.items == 0 && s.threads == 0 && s.busy_ns == 0) continue;
-        t.add_row({s.name, TextTable::num(static_cast<std::uint64_t>(s.threads)),
-                   TextTable::num(s.items), TextTable::num(s.stall_episodes),
-                   TextTable::num(static_cast<double>(s.stall_ns) / 1e6, 3),
+        if (s.items == 0 && s.busy_ns == 0) continue;
+        t.add_row({s.name, TextTable::num(s.items),
                    TextTable::num(static_cast<double>(s.busy_ns) / 1e6, 3),
                    TextTable::num(s.busy_fraction, 4)});
     }
@@ -194,25 +166,17 @@ void HostProfiler::write_live() const {
         out << "# wfqs-live v1\n";
         out << "elapsed_s " << elapsed_seconds() << "\n";
         for (const StageSummary& s : summary())
-            out << "stage " << s.name << " threads " << s.threads << " items "
-                << s.items << " stalls " << s.stall_episodes << " stall_ns "
-                << s.stall_ns << " busy_ns " << s.busy_ns << " busy "
-                << s.busy_fraction << "\n";
+            out << "stage " << s.name << " items " << s.items << " busy_ns "
+                << s.busy_ns << " busy " << s.busy_fraction << "\n";
         for (const auto& line : live_lines_) out << line() << "\n";
         // Sparkline tails: the last few closed windows of every probe
-        // (counters are per-window deltas, gauges close samples).
+        // (all counters: per-window deltas).
         constexpr std::size_t kTail = 32;
         const std::size_t n = series_.window_count();
         const std::size_t from = n > kTail ? n - kTail : 0;
         if (n != 0) out << "window_t " << series_.times()[n - 1] << "\n";
         for (const std::string& name : series_.counter_names()) {
             const auto& v = series_.counter_series(name);
-            out << "series " << name;
-            for (std::size_t i = from; i < n; ++i) out << " " << v[i];
-            out << "\n";
-        }
-        for (const std::string& name : series_.gauge_names()) {
-            const auto& v = series_.gauge_series(name);
             out << "series " << name;
             for (std::size_t i = from; i < n; ++i) out << " " << v[i];
             out << "\n";

@@ -1,33 +1,22 @@
-// HostProfiler: per-stage timelines for the host pipeline (and for the
-// sequential driver's stage *sections*), built on TimeSeries.
+// HostProfiler: per-stage timelines for the sequential SimDriver's stage
+// *sections* — traffic generation, scheduling, egress bookkeeping —
+// built on TimeSeries.
 //
-// The model. A run is split into the four pipeline stages — gen, merge,
-// schedule, egress. Each stage owns a StageCounters block of single-
-// writer atomics (items, stall episodes, stall nanoseconds, sampled busy
-// nanoseconds): the stage's thread bumps them with relaxed load+store
-// (one writer means no RMW, no lock prefix), and the profiler's sampler
-// thread reads them concurrently — TSan-clean by construction.
-//
-// Two complementary cost measurements, because the cheap one differs by
-// execution mode:
-//   * pipeline stages measure *stall* time: the ring wait loops read the
-//     clock only at stall-episode boundaries, so a stage that never
-//     blocks pays nothing. busy = 1 - stall / (alive x threads); the
-//     bottleneck is the stage that never waits (argmax busy).
-//   * sequential stage sections measure *busy* time with SampledTimer:
-//     1-in-64 brackets are timed and charged x64, so the expected cost
-//     is two clock reads per 64 packets. busy fractions here are shares
-//     of measured time — this is what attributes the sequential run's
-//     time to gen/sched/egress and explains what a pipeline can and
-//     cannot speed up.
+// The model. Each stage owns a StageCounters block of relaxed atomics
+// (items, sampled busy nanoseconds): the driver thread bumps them and the
+// profiler's sampler thread reads them concurrently — TSan-clean by
+// construction. Busy time comes from SampledTimer: 1-in-64 brackets are
+// timed and charged x64, so the expected cost is two clock reads per 64
+// packets, and a stage's busy fraction is its share of the measured
+// time.
 //
 // Sampling. start_sampling() launches a wall-clock sampler thread that
 // ticks an internal TimeSeries (budgeted, self-downsampling) over the
-// registered probes — per-stage item/stall counters plus any ring-
-// occupancy gauges the driver adds — and optionally rewrites a live
-// status file (`# wfqs-live v1`, tmp+rename) that wfqs_top polls.
-// Probes must be registered before start_sampling(); sampling must stop
-// before anything a probe reads is destroyed.
+// registered probes — per-stage item/busy counters plus any counters the
+// caller adds — and optionally rewrites a live status file
+// (`# wfqs-live v1`, tmp+rename) that wfqs_top polls. Probes must be
+// registered before start_sampling(); sampling must stop before anything
+// a probe reads is destroyed.
 #pragma once
 
 #include <atomic>
@@ -46,34 +35,20 @@ class JsonWriter;
 
 class HostProfiler {
 public:
-    enum class Stage : std::uint8_t { kGen, kMerge, kSched, kEgress };
-    static constexpr std::size_t kStageCount = 4;
+    enum class Stage : std::uint8_t { kGen, kSched, kEgress };
+    static constexpr std::size_t kStageCount = 3;
     static const char* stage_name(Stage s);
 
     /// Per-stage tallies, sampled cross-thread. Updates are relaxed
-    /// fetch_adds — a stage's writers touch them per batch, per stall
-    /// episode, or per sampled bracket, never per item, so the RMW cost
-    /// is noise (and the gen stage legitimately has several writer
-    /// threads). Readers see slightly stale but untorn values.
+    /// fetch_adds — the driver touches them per item block or per
+    /// sampled bracket, never per item, so the RMW cost is noise.
+    /// Readers see slightly stale but untorn values.
     class StageCounters {
     public:
         void add_items(std::uint64_t n) { bump(items_, n); }
-        void inc_batches() { bump(batches_, 1); }
-        void inc_stalls() { bump(stall_episodes_, 1); }
-        void add_stalls(std::uint64_t n) { bump(stall_episodes_, n); }
-        void add_stall_ns(std::uint64_t ns) { bump(stall_ns_, ns); }
         void add_busy_ns(std::uint64_t ns) { bump(busy_ns_, ns); }
 
         std::uint64_t items() const { return items_.load(std::memory_order_relaxed); }
-        std::uint64_t batches() const {
-            return batches_.load(std::memory_order_relaxed);
-        }
-        std::uint64_t stall_episodes() const {
-            return stall_episodes_.load(std::memory_order_relaxed);
-        }
-        std::uint64_t stall_ns() const {
-            return stall_ns_.load(std::memory_order_relaxed);
-        }
         std::uint64_t busy_ns() const {
             return busy_ns_.load(std::memory_order_relaxed);
         }
@@ -83,23 +58,14 @@ public:
             a.fetch_add(n, std::memory_order_relaxed);
         }
         std::atomic<std::uint64_t> items_{0};
-        std::atomic<std::uint64_t> batches_{0};
-        std::atomic<std::uint64_t> stall_episodes_{0};
-        std::atomic<std::uint64_t> stall_ns_{0};
         std::atomic<std::uint64_t> busy_ns_{0};  ///< SampledTimer credit
     };
 
     struct StageSummary {
         const char* name;
-        unsigned threads;
         std::uint64_t items;
-        std::uint64_t batches;
-        std::uint64_t stall_episodes;
-        std::uint64_t stall_ns;
         std::uint64_t busy_ns;
-        /// Stall-measured stages: 1 - stall/(alive x threads). Busy-
-        /// measured sections: share of total measured busy time.
-        double busy_fraction;
+        double busy_fraction;  ///< share of total measured busy time
     };
 
     /// `budget`: TimeSeries window budget; `period`: sampler tick period.
@@ -116,16 +82,9 @@ public:
     const StageCounters& stage(Stage s) const {
         return stages_[static_cast<std::size_t>(s)];
     }
-    void set_stage_threads(Stage s, unsigned n) {
-        stage_threads_[static_cast<std::size_t>(s)] = n;
-    }
-    unsigned stage_threads(Stage s) const {
-        return stage_threads_[static_cast<std::size_t>(s)];
-    }
 
-    /// Extra probes (ring occupancies, throughput counters). Register
-    /// before start_sampling(); what `fn` reads must outlive sampling.
-    void add_gauge(const std::string& name, std::function<double()> fn);
+    /// Extra probes (e.g. a soak's throughput counters). Register before
+    /// start_sampling(); what `fn` reads must outlive sampling.
     void add_counter(const std::string& name, std::function<std::uint64_t()> fn);
 
     // -- run lifecycle -----------------------------------------------------
@@ -134,7 +93,7 @@ public:
     void begin_run();
     void end_run();
 
-    /// Launch the sampler thread: per-stage item/stall probes (registered
+    /// Launch the sampler thread: per-stage item/busy probes (registered
     /// on first start) plus everything added above, ticked every period.
     void start_sampling();
     void stop_sampling();
@@ -157,7 +116,7 @@ public:
     double elapsed_seconds() const;
     std::vector<StageSummary> summary() const;
     /// Stage with the highest busy fraction among active stages — the
-    /// one the others wait for.
+    /// section that dominates the sequential loop's time.
     Stage bottleneck() const;
     const TimeSeries& series() const { return series_; }
 
@@ -173,7 +132,6 @@ private:
     void write_live() const;
 
     StageCounters stages_[kStageCount];
-    unsigned stage_threads_[kStageCount] = {0, 0, 0, 0};
     TimeSeries series_;
     std::chrono::milliseconds period_;
     std::string live_path_;

@@ -3,7 +3,7 @@
 // The registry (metrics.hpp) exports one terminal snapshot per run; this
 // recorder turns any of its counter/gauge/histogram views into *windowed*
 // series so a run can answer "when" and "where", not just "how much" —
-// the continuous-observability substrate the host-pipeline profiler, the
+// the continuous-observability substrate the host driver profiler, the
 // `--timeseries` bench sections, and `wfqs_top` are built on.
 //
 // Sampling model. The owner calls tick(t) on whatever axis it cares

@@ -14,13 +14,12 @@
 // installed — an idle simulation pays one predictable branch per span.
 // Installation is process-global.
 //
-// Threads. Recording is serialized by an internal mutex so the host
-// pipeline's stage threads (ParallelSimDriver: sorter spans from the
-// schedule thread, net instants from the egress thread) can share one
-// installed tracer without corrupting the event log. Span begin/end
-// pairs still form a single process-wide stack, so nesting attribution
-// is only meaningful per emitting thread; the simulation's cycle-stamped
-// spans all come from the one thread that owns the hw::Clock.
+// Threads. Recording is serialized by an internal mutex, so callers on
+// different threads can share one installed tracer without corrupting
+// the event log. Span begin/end pairs still form a single process-wide
+// stack, so nesting attribution is only meaningful per emitting thread;
+// the simulation's cycle-stamped spans all come from the one thread that
+// owns the hw::Clock.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "ref/ref_rank_oracle.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "sched_prog/rifo.hpp"
 
@@ -9,29 +11,41 @@ namespace wfqs::ref {
 // RefRankOracle
 
 RefRankOracle::RefRankOracle(sched_prog::RankPolicy policy,
-                             const sched_prog::RankConfig& config)
-    : rank_(sched_prog::make_rank_function(policy, config)) {}
+                             const sched_prog::RankConfig& config,
+                             std::uint64_t window_span)
+    : rank_(sched_prog::make_rank_function(policy, config)),
+      window_span_(window_span) {}
 
 net::FlowId RefRankOracle::add_flow(std::uint32_t weight) {
     return rank_->add_flow(weight);
 }
 
-std::uint64_t RefRankOracle::enqueue(const net::Packet& packet,
-                                     net::TimeNs now) {
+bool RefRankOracle::fits(const std::map<Key, Stored>& queue,
+                         std::uint64_t key) const {
+    if (window_span_ == 0 || queue.empty()) return true;
+    const std::uint64_t lo = std::min(key, queue.begin()->first.first);
+    const std::uint64_t hi = std::max(key, queue.rbegin()->first.first);
+    return hi - lo < window_span_;
+}
+
+bool RefRankOracle::enqueue(const net::Packet& packet, net::TimeNs now) {
     const sched_prog::RankSet rs = rank_->on_arrival(packet, now);
     if (rank_->two_stage()) {
+        if (!fits(pending_, rs.start)) return false;
         pending_.emplace(Key{rs.start, arrival_seq_++},
                          Stored{packet, rs.rank});
         promote(now);
     } else {
+        if (!fits(eligible_, rs.rank)) return false;
         eligible_.emplace(Key{rs.rank, promo_seq_++}, Stored{packet, rs.rank});
     }
-    return rs.rank;
+    return true;
 }
 
 void RefRankOracle::promote(net::TimeNs now) {
     const std::uint64_t horizon = rank_->eligibility_horizon(now);
-    while (!pending_.empty() && pending_.begin()->first.first <= horizon) {
+    while (!pending_.empty() && pending_.begin()->first.first <= horizon &&
+           fits(eligible_, pending_.begin()->second.rank)) {
         Stored stored = pending_.begin()->second;
         pending_.erase(pending_.begin());
         eligible_.emplace(Key{stored.rank, promo_seq_++}, std::move(stored));

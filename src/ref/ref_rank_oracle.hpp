@@ -9,7 +9,8 @@
 //     sharing any state; any divergence in the *served packet sequence*
 //     is a DUT bug. Two-stage policies (WF2Q+) mirror the DUT's
 //     pending/eligible arrangement, including the forced-promotion
-//     escape for quantization rounding.
+//     escape for quantization rounding, and — given the DUT sorter's
+//     window span — its wrap-window refusals.
 //   * RefSpPifo / RefRifo — straight-line mirrors of the approximation
 //     algorithms (adaptive queue bounds, rank-range admission) with no
 //     packet buffer and no hardware model underneath. RefRifo reuses
@@ -39,15 +40,22 @@ namespace wfqs::ref {
 /// Exact PIFO semantics for any rank policy: serve the minimum-rank
 /// packet, FIFO among rank ties (arrival order for single-stage,
 /// promotion order for two-stage).
+///
+/// A non-zero `window_span` mirrors PifoScheduler over a wrap-window
+/// sorter: a rank (start rank, for two-stage) that would stretch its
+/// queue's live keys to `window_span` or more is refused, and a pending
+/// packet whose rank the eligible set cannot hold stays pending. Tag
+/// memory capacity is not mirrored.
 class RefRankOracle {
 public:
     RefRankOracle(sched_prog::RankPolicy policy,
-                  const sched_prog::RankConfig& config = {});
+                  const sched_prog::RankConfig& config = {},
+                  std::uint64_t window_span = 0);
 
     net::FlowId add_flow(std::uint32_t weight);
 
-    /// Feed an offered packet; returns the rank the policy assigned.
-    std::uint64_t enqueue(const net::Packet& packet, net::TimeNs now);
+    /// Feed an offered packet; false when the window refuses it.
+    bool enqueue(const net::Packet& packet, net::TimeNs now);
 
     /// The packet an exact PIFO serves at `now` (nullopt when empty).
     std::optional<net::Packet> dequeue(net::TimeNs now);
@@ -68,8 +76,11 @@ private:
     using Key = std::pair<std::uint64_t, std::uint64_t>;  // (order key, seq)
 
     void promote(net::TimeNs now);
+    /// Whether `key` fits in `queue`'s window beside its live keys.
+    bool fits(const std::map<Key, Stored>& queue, std::uint64_t key) const;
 
     std::unique_ptr<sched_prog::RankFunction> rank_;
+    std::uint64_t window_span_;       ///< 0 = unbounded
     std::map<Key, Stored> eligible_;  ///< keyed (rank, promotion seq)
     std::map<Key, Stored> pending_;   ///< keyed (start, arrival seq)
     std::uint64_t arrival_seq_ = 0;

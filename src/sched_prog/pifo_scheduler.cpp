@@ -1,5 +1,7 @@
 #include "sched_prog/pifo_scheduler.hpp"
 
+#include <stdexcept>
+
 #include "common/assert.hpp"
 
 namespace wfqs::sched_prog {
@@ -41,13 +43,23 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     if (!ref) return false;
     const RankSet ranks = rank_->on_arrival(packet, now);
     const std::uint32_t slot = allocate_slot(ranks.rank, *ref, packet.size_bytes);
-    if (start_queue_) {
-        // Two-stage: wait in start order until eligible.
-        start_queue_->insert(ranks.start, slot);
-        promote_eligible(now);
-    } else {
-        primary_->insert(ranks.rank, slot);
+    try {
+        if (start_queue_) {
+            // Two-stage: wait in start order until eligible.
+            start_queue_->insert(ranks.start, slot);
+        } else {
+            primary_->insert(ranks.rank, slot);
+        }
+    } catch (const std::invalid_argument&) {
+        // The sorter's wrap window cannot hold this rank beside the live
+        // ones; the sorter threw before changing anything. Drop, as RIFO
+        // does, after the rank function has seen the packet.
+        slots_[slot].in_use = false;
+        free_slots_.push_back(slot);
+        buffer_.retrieve(*ref);
+        return false;
     }
+    if (start_queue_) promote_eligible(now);
     return true;
 }
 
@@ -55,8 +67,14 @@ void PifoScheduler::promote_eligible(net::TimeNs now) {
     const std::uint64_t horizon = rank_->eligibility_horizon(now);
     while (const auto head = start_queue_->peek_min()) {
         if (head->tag > horizon) break;
-        const auto moved = start_queue_->pop_min();
-        primary_->insert(slots_[moved->payload].rank, moved->payload);
+        try {
+            primary_->insert(slots_[head->payload].rank, head->payload);
+        } catch (const std::invalid_argument&) {
+            // The primary's window cannot hold this rank yet: the packet
+            // stays pending until service drains the window.
+            break;
+        }
+        start_queue_->pop_min();
     }
 }
 

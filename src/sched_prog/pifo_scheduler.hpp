@@ -10,6 +10,12 @@
 // promoted once eligible — the same shape as scheduler::Wf2qScheduler,
 // but policy-generic.
 //
+// A wrap-window sorter (Fig. 6) can only hold ranks within its window
+// span of one another. A packet whose rank would stretch the window is
+// dropped at enqueue, after the rank function has seen it (as RIFO
+// admission does); a two-stage packet whose finish rank the primary
+// cannot hold yet stays pending until service drains the window.
+//
 // Construction takes a *queue factory* rather than queue instances, so
 // one configuration line can build either one or two sort structures
 // (and benches can sweep backends without knowing which policies are
@@ -50,6 +56,7 @@ public:
     std::string name() const override;
     std::optional<std::uint32_t> peek_size(net::TimeNs now) override;
 
+    /// Packets refused for lack of buffer space.
     std::uint64_t drops() const { return buffer_.drops(); }
     const RankFunction& rank_function() const { return *rank_; }
     /// Packets past the eligibility gate (== queued for single-stage).

@@ -10,8 +10,8 @@
 //   * GPS departure bounds for the WFQ and WF2Q+ rank policies across
 //     30+ seeds (satellite 2);
 //   * the committed policy corpus artifacts: SP-PIFO queue-boundary
-//     inversions and SRPT starvation pinned as behaviour, not just as
-//     divergence-free replays (satellite 3).
+//     inversions, SRPT starvation, and the sorter-window refusal pinned
+//     as behaviour, not just as divergence-free replays.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -496,6 +496,33 @@ TEST(PolicyCorpus, SrptServesTheMouseBurstFirst) {
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(served[static_cast<std::size_t>(i)].flow, 2u)
             << "serve " << i << " went to the elephant";
+}
+
+TEST(PolicyCorpus, WindowOverrunIsRefusedNotThrown) {
+    // The artifact's single-flow backlog outgrows a binary16 sorter's
+    // 2^15 window at its last packet. WFQ must drop that one packet (not
+    // throw) and serve everything it accepted. WF2Q+ sorts arrivals by
+    // start rank, one packet behind the finish ranks, so the same
+    // backlog still fits its start queue and nothing is dropped.
+    const OpSeq ops = read_corpus("policy-wfq-window-overrun.ops");
+    for (const auto& [policy, refused] :
+         {std::pair{RankPolicy::kWfq, 1u}, std::pair{RankPolicy::kWf2q, 0u}}) {
+        sched_prog::PifoScheduler::Config pc;
+        pc.policy = policy;
+        pc.rank = proptest::policy_diff_rank_config();
+        sched_prog::PifoScheduler exact(pc, [] {
+            baselines::QueueParams qp;
+            qp.range_bits = 16;
+            qp.capacity = 1024;
+            return baselines::make_tag_queue(baselines::QueueKind::BinaryTree, qp);
+        });
+        std::vector<net::Packet> served;
+        const auto meter = replay_with_meter(ops, exact, policy, &served);
+        const std::string name = sched_prog::rank_policy_name(policy);
+        EXPECT_EQ(exact.counters().rejected_packets, refused) << name;
+        EXPECT_EQ(served.size(), ops.size() - refused) << name;
+        EXPECT_EQ(meter.inversions(), 0u) << name;
+    }
 }
 
 }  // namespace

@@ -17,33 +17,15 @@ Default mode checks (all on *modeled*, machine-independent metrics):
      regenerated;
   3. the "shard_scaling.n1_identical_to_single" gauge, when present, must
      be 1.0 in the fresh run (the bench also exits non-zero on its own);
-  4. the "host.pipeline.identical_to_sequential" gauge, when present,
-     must be 1.0 — the multi-threaded host pipeline reproduced the
-     sequential SimDriver bit for bit. Together with check 2 this gates
-     that running a bench with --threads (including --threads 1, the
-     delegating path) keeps "hw.cycles" exactly unchanged: the pipeline
-     never touches the bench-registered simulation;
-  5. the "host.ffs.speedup_vs_model" gauge, when present, must be at
+  4. the "host.ffs.speedup_vs_model" gauge, when present, must be at
      least --ffs-speedup-floor (default 3.0). Both backends are measured
      in the same process on the same stream, so the ratio is robust to
-     machine speed even though each side is wall-clock;
-  6. the "host.pipeline.speedup_vs_sequential" gauge must be at least
-     --pipeline-speedup-floor (default 2.5) — but only when the fresh run
-     used >= 8 pipeline threads AND the recording machine had >= 8
-     hardware threads ("host.pipeline.threads" / "host.hardware_concurrency").
-     A laptop or a 1-core CI runner cannot show a parallel speedup; the
-     bit-identity gate (check 4) still applies there.
+     machine speed even though each side is wall-clock.
 
 Optional per-backend absolute floors (machine-specific, off by default):
 --model-floor / --ffs-floor gate host.model.ops_per_sec and
 host.ffs.ops_per_sec in the fresh run. Use these only where the runner
 hardware is known (e.g. a dedicated perf box).
-
-It also prints an *informational* per-stage stall breakdown from the
-fresh run's host.pipeline.*_stall_ns gauges (and the host_profile
-bottleneck when the run was made with --timeseries): wall-clock numbers
-never gate in this mode, but the breakdown is what explains a pipeline
-speedup — or the lack of one — at a glance.
 
 --policy mode gates bench/policy_comparison artifacts (modeled,
 seed-deterministic metrics only):
@@ -65,16 +47,14 @@ fails if telemetry costs more than --overhead-tolerance (default 3%) of
 host.ops_per_sec.
 
 host.* *wall-clock* gauges (elapsed_ms, ops_per_sec) vary machine to
-machine and are skipped by the default mode's name scan; the identity
-gate above is the one host.* value that is machine-independent. Exits 0
-when every check passes, 1 otherwise.
+machine and are skipped by the default mode's name scan; the same-process
+ffs/model ratio above is the one host.* value that gates. Exits 0 when
+every check passes, 1 otherwise.
 """
 
 import argparse
 import json
 import sys
-
-STAGES = ("gen", "merge", "sched", "egress")
 
 
 def load_doc(path):
@@ -88,31 +68,6 @@ def flat_metrics(doc):
     flat.update(metrics.get("counters", {}))
     flat.update(metrics.get("gauges", {}))
     return flat
-
-
-def stall_breakdown(committed, fresh, fresh_doc):
-    """Informational: where did the pipelined run wait, and did it move?"""
-    rows = []
-    for stage in STAGES:
-        name = f"host.pipeline.{stage}_stall_ns"
-        if name not in fresh:
-            continue
-        rows.append((stage, committed.get(name), fresh[name]))
-    if not rows:
-        return
-    print("host pipeline stall breakdown (informational):")
-    for stage, base, now in rows:
-        if base is not None:
-            print(f"  {stage:<6}: {base / 1e6:9.2f} ms -> {now / 1e6:9.2f} ms")
-        else:
-            print(f"  {stage:<6}: {now / 1e6:9.2f} ms")
-    waiter = max(rows, key=lambda r: r[2])
-    print(f"  dominant waiter: {waiter[0]} "
-          "(the stage that spends longest blocked on its neighbours)")
-    profile = fresh_doc.get("host_profile")
-    if profile and "bottleneck" in profile:
-        print(f"  profiler bottleneck: {profile['bottleneck']} "
-              "(highest busy fraction; the stage the others wait for)")
 
 
 def best_ops_per_sec(paths):
@@ -230,10 +185,6 @@ def main():
     parser.add_argument("--ffs-speedup-floor", type=float, default=3.0,
                         help="minimum host.ffs.speedup_vs_model (same-process "
                              "ratio; default 3.0)")
-    parser.add_argument("--pipeline-speedup-floor", type=float, default=2.5,
-                        help="minimum host.pipeline.speedup_vs_sequential when "
-                             "threads >= 8 and the machine has >= 8 hardware "
-                             "threads (default 2.5)")
     parser.add_argument("--model-floor", type=float, default=None,
                         help="absolute host.model.ops_per_sec floor "
                              "(machine-specific; off by default)")
@@ -247,10 +198,8 @@ def main():
     if args.policy:
         return run_policy(args)
 
-    committed_doc = load_doc(args.committed)
-    fresh_doc = load_doc(args.fresh)
-    committed = flat_metrics(committed_doc)
-    fresh = flat_metrics(fresh_doc)
+    committed = flat_metrics(load_doc(args.committed))
+    fresh = flat_metrics(load_doc(args.fresh))
     failures = []
     checked = 0
 
@@ -287,15 +236,6 @@ def main():
         else:
             print(f"  {gate}: 1 (N=1 bit/cycle identity holds)")
 
-    gate = "host.pipeline.identical_to_sequential"
-    if gate in fresh:
-        checked += 1
-        if fresh[gate] != 1.0:
-            failures.append(
-                f"{gate}: pipelined SimResult diverged from the sequential driver")
-        else:
-            print(f"  {gate}: 1 (host pipeline bit-identical to sequential)")
-
     gate = "host.ffs.speedup_vs_model"
     if gate in fresh:
         checked += 1
@@ -306,25 +246,6 @@ def main():
                             "its edge over the cycle model)")
         else:
             print(f"  {gate}: {ratio:.2f} (floor {args.ffs_speedup_floor:.2f})")
-
-    threads = fresh.get("host.pipeline.threads", 0)
-    cores = fresh.get("host.hardware_concurrency", 0)
-    gate = "host.pipeline.speedup_vs_sequential"
-    if gate in fresh and threads >= 8 and cores >= 8:
-        checked += 1
-        ratio = fresh[gate]
-        if ratio < args.pipeline_speedup_floor:
-            failures.append(
-                f"{gate}: {ratio:.2f} < floor {args.pipeline_speedup_floor:.2f} "
-                f"at {threads:.0f} threads on {cores:.0f} hardware threads")
-        else:
-            print(f"  {gate}: {ratio:.2f} "
-                  f"(floor {args.pipeline_speedup_floor:.2f}, "
-                  f"{threads:.0f} threads, {cores:.0f} hw threads)")
-    elif gate in fresh:
-        print(f"  {gate}: {fresh[gate]:.2f} (informational: "
-              f"{threads:.0f} threads on {cores:.0f} hw threads — speedup "
-              "gate needs >= 8 of both)")
 
     for floor, name in ((args.model_floor, "host.model.ops_per_sec"),
                         (args.ffs_floor, "host.ffs.ops_per_sec")):
@@ -338,8 +259,6 @@ def main():
             failures.append(f"{name}: {now:.0f} < floor {floor:.0f}")
         else:
             print(f"  {name}: {now:.0f} (floor {floor:.0f})")
-
-    stall_breakdown(committed, fresh, fresh_doc)
 
     if checked == 0:
         failures.append("no comparable modeled metrics found — wrong file pair?")

@@ -40,7 +40,6 @@
 
 #include "baselines/factory.hpp"
 #include "matcher/matcher.hpp"
-#include "net/parallel_driver.hpp"
 #include "obs/flight_recorder.hpp"
 #include "proptest/differ.hpp"
 #include "proptest/proptest.hpp"
@@ -56,14 +55,10 @@ struct Options {
     std::size_t cases = 0;         ///< 0 = unbounded (budget-limited)
     double minutes = 1.0;          ///< wall-clock budget; 0 = unbounded
     unsigned threads = 1;          ///< soak workers
-    std::string target = "all";    ///< tag|ffs|geometry|sharded|baseline|matcher|scheduler|policy|pipeline|all
+    std::string target = "all";    ///< tag|ffs|geometry|sharded|baseline|matcher|scheduler|policy|all
     std::string artifact_dir = ".";
     std::string replay;            ///< replay one .ops file instead of fuzzing
     std::string flight;            ///< flight-recorder dump path ("" = off)
-    /// Sorter backend behind the pipeline target's tag queue (--backend,
-    /// falling back to the WFQS_BACKEND env var). The differential
-    /// families always run the backends they exist to compare.
-    baselines::SorterBackend backend = baselines::SorterBackend::kModel;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -71,8 +66,7 @@ struct Options {
                  "usage: %s [--seed N] [--ops N] [--cases N] [--minutes F]\n"
                  "          [--threads N]\n"
                  "          [--target tag|ffs|geometry|sharded|baseline|matcher|"
-                 "scheduler|policy|pipeline|all]\n"
-                 "          [--backend model|ffs]  (pipeline queue; env WFQS_BACKEND)\n"
+                 "scheduler|policy|all]\n"
                  "          [--artifact-dir DIR] [--replay FILE.ops]\n"
                  "          [--flight DUMP.ops]\n",
                  argv0);
@@ -81,8 +75,6 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
     Options opt;
-    std::string backend;
-    if (const char* env = std::getenv("WFQS_BACKEND")) backend = env;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&]() -> std::string {
@@ -96,7 +88,6 @@ Options parse_args(int argc, char** argv) {
         else if (arg == "--threads")
             opt.threads = static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 0));
         else if (arg == "--target") opt.target = value();
-        else if (arg == "--backend") backend = value();
         else if (arg == "--artifact-dir") opt.artifact_dir = value();
         else if (arg == "--replay") opt.replay = value();
         else if (arg == "--flight") opt.flight = value();
@@ -105,14 +96,8 @@ Options parse_args(int argc, char** argv) {
     if (opt.target != "all" && opt.target != "tag" && opt.target != "ffs" &&
         opt.target != "geometry" && opt.target != "sharded" &&
         opt.target != "baseline" && opt.target != "matcher" &&
-        opt.target != "scheduler" && opt.target != "policy" &&
-        opt.target != "pipeline")
+        opt.target != "scheduler" && opt.target != "policy")
         usage(argv[0]);
-    if (!backend.empty()) {
-        const auto parsed = baselines::backend_from_name(backend);
-        if (!parsed) usage(argv[0]);
-        opt.backend = *parsed;
-    }
     if (opt.threads == 0) opt.threads = 1;
     return opt;
 }
@@ -317,56 +302,6 @@ bool fuzz_baseline(const Options& opt, std::uint64_t round) {
     return true;
 }
 
-/// Lockstep soak of the multi-threaded host pipeline: the parallel
-/// driver must reproduce the sequential SimResult bit for bit on a
-/// randomized workload, at several thread counts.
-bool fuzz_pipeline(const Options& opt, std::uint64_t round) {
-    const std::uint64_t seed = case_seed(opt.seed + 0x917, round);
-    const std::uint64_t rate = 20'000'000 * (1 + seed % 4);
-    const net::TimeNs horizon = 30'000'000 * (1 + seed % 3);  // 30–90 ms
-    const auto run_with = [&](unsigned threads) {
-        scheduler::FairQueueingScheduler::Config sc;
-        sc.link_rate_bps = rate;
-        sc.tag_granularity_bits = -6;
-        baselines::QueueParams qp;
-        qp.range_bits = 20;
-        qp.capacity = 1 << 16;
-        qp.backend = opt.backend;
-        scheduler::FairQueueingScheduler sched(
-            sc, baselines::make_tag_queue(baselines::QueueKind::MultibitTree, qp));
-        auto flows = net::make_mixed_profile(horizon, seed);
-        if (threads == 0) {
-            net::SimDriver driver(rate);
-            return driver.run(sched, flows);
-        }
-        net::ParallelSimDriver driver(rate, threads);
-        return driver.run(sched, flows);
-    };
-    const auto sequential = run_with(0);
-    for (const unsigned threads : {2u, 4u}) {
-        const auto parallel = run_with(threads);
-        if (!net::identical_results(sequential, parallel)) {
-            const std::lock_guard<std::mutex> lock(g_print_mutex);
-            std::printf("FAIL pipeline: %u-thread SimResult diverged from "
-                        "sequential (seed %llu, rate %llu, fingerprints %llx vs "
-                        "%llx)\n",
-                        threads, static_cast<unsigned long long>(seed),
-                        static_cast<unsigned long long>(rate),
-                        static_cast<unsigned long long>(
-                            net::result_fingerprint(sequential)),
-                        static_cast<unsigned long long>(
-                            net::result_fingerprint(parallel)));
-            flight_dump_failure(
-                "pipeline", {},
-                "pipeline divergence at " + std::to_string(threads) +
-                    " threads, seed " + std::to_string(seed));
-            return false;
-        }
-    }
-    g_total_ops += sequential.offered_packets * 3;
-    return true;
-}
-
 /// Every rank policy × sorter geometry × backend (plus the SP-PIFO and
 /// RIFO approximation mirrors) in lockstep with the src/ref rank
 /// oracles. The profiles cap the backlog so every policy's live rank
@@ -501,7 +436,6 @@ int main(int argc, char** argv) {
     const bool do_matcher = opt.target == "all" || opt.target == "matcher";
     const bool do_scheduler = opt.target == "all" || opt.target == "scheduler";
     const bool do_policy = opt.target == "all" || opt.target == "policy";
-    const bool do_pipeline = opt.target == "all" || opt.target == "pipeline";
 
     // One full round of every selected family at round number `round`.
     const auto run_round = [&](std::uint64_t round) {
@@ -514,7 +448,6 @@ int main(int argc, char** argv) {
         if (ok && do_matcher) ok = ok && fuzz_matcher(opt, round);
         if (ok && do_scheduler) ok = ok && fuzz_scheduler(opt, round);
         if (ok && do_policy) ok = ok && fuzz_policy(opt, round);
-        if (ok && do_pipeline) ok = ok && fuzz_pipeline(opt, round);
         return ok;
     };
 

@@ -1,4 +1,4 @@
-// wfqs_top: terminal dashboard for the host-pipeline telemetry.
+// wfqs_top: terminal dashboard for the host driver telemetry.
 //
 // Two modes, one binary:
 //
@@ -6,8 +6,8 @@
 //       Attach to a live bench. A profiler-attached bench run with
 //       `--live STATUS_FILE` rewrites the file (tmp+rename) every
 //       sampler tick in the `# wfqs-live v1` format; wfqs_top polls it
-//       and redraws a per-stage table (items, stalls, busy fraction with
-//       a bar) plus ASCII sparklines of the most recent timeline
+//       and redraws a per-stage table (items, busy fraction with a bar)
+//       plus ASCII sparklines of the most recent timeline
 //       windows. --once renders a single frame without touching the
 //       terminal modes — that is what tests and scripts use.
 //
@@ -15,7 +15,7 @@
 //       Render a flight-recorder dump (from fault_soak --flight,
 //       wfqs_fuzz --flight, or a crash hook) as an annotated timeline:
 //       the dump's reason header, an event-kind census, collapsed runs
-//       of replayable ops, and every fault/scrub/stall/divergence
+//       of replayable ops, and every fault/scrub/reshard/divergence
 //       annotation in ring order. The same file replays through
 //       `wfqs_fuzz --replay` — this view is the human half.
 //
@@ -43,10 +43,7 @@ using wfqs::TextTable;
 
 struct StageRow {
     std::string name;
-    unsigned threads = 0;
     std::uint64_t items = 0;
-    std::uint64_t stalls = 0;
-    std::uint64_t stall_ns = 0;
     std::uint64_t busy_ns = 0;
     double busy = 0.0;
 };
@@ -88,10 +85,7 @@ std::optional<LiveStatus> parse_live(const std::string& path) {
             std::string k;
             ls >> row.name;
             while (ls >> k) {
-                if (k == "threads") ls >> row.threads;
-                else if (k == "items") ls >> row.items;
-                else if (k == "stalls") ls >> row.stalls;
-                else if (k == "stall_ns") ls >> row.stall_ns;
+                if (k == "items") ls >> row.items;
                 else if (k == "busy_ns") ls >> row.busy_ns;
                 else if (k == "busy") ls >> row.busy;
             }
@@ -148,19 +142,18 @@ std::string busy_bar(double frac, std::size_t width = 20) {
 void render_live(const LiveStatus& st, const std::string& path, bool stale) {
     std::printf("wfqs_top — %s  (elapsed %.2fs%s)\n", path.c_str(), st.elapsed_s,
                 stale ? ", STALE" : "");
-    TextTable t({"stage", "thr", "items", "stalls", "stall_ms", "busy", ""});
+    TextTable t({"stage", "items", "busy_ms", "busy", ""});
     const StageRow* hot = nullptr;
     for (const StageRow& s : st.stages) {
-        if (s.items == 0 && s.threads == 0 && s.busy_ns == 0) continue;
+        if (s.items == 0 && s.busy_ns == 0) continue;
         if (hot == nullptr || s.busy > hot->busy) hot = &s;
-        t.add_row({s.name, TextTable::num(static_cast<std::uint64_t>(s.threads)),
-                   TextTable::num(s.items), TextTable::num(s.stalls),
-                   TextTable::num(static_cast<double>(s.stall_ns) / 1e6, 2),
+        t.add_row({s.name, TextTable::num(s.items),
+                   TextTable::num(static_cast<double>(s.busy_ns) / 1e6, 2),
                    TextTable::num(s.busy, 3), busy_bar(s.busy)});
     }
     std::printf("%s", t.render().c_str());
     if (hot != nullptr)
-        std::printf("bottleneck: %s (stages wait on the busiest one)\n",
+        std::printf("bottleneck: %s (largest share of the measured time)\n",
                     hot->name.c_str());
     if (!st.banks.empty()) {
         std::uint64_t max_occ = 1;
@@ -231,16 +224,6 @@ const char* scrub_action_name(std::int64_t a) {
         case 0: return "clean";
         case 1: return "repaired";
         case 2: return "rebuilt";
-    }
-    return "?";
-}
-
-const char* stall_stage_name(std::int64_t a) {
-    switch (a) {
-        case 0: return "gen";
-        case 1: return "merge";
-        case 2: return "sched";
-        case 3: return "egress";
     }
     return "?";
 }
@@ -339,8 +322,6 @@ int run_replay(const std::string& path) {
         if (ev.kind == "scrub") {
             std::printf("  t=%g SCRUB %s, %lld entries lost\n", ev.t,
                         scrub_action_name(ev.a), static_cast<long long>(ev.b));
-        } else if (ev.kind == "stall") {
-            std::printf("  t=%g STALL stage=%s\n", ev.t, stall_stage_name(ev.b));
         } else if (ev.kind == "reshard") {
             std::printf("  t=%g RESHARD %s bank=%lld\n", ev.t,
                         reshard_event_name(ev.a), static_cast<long long>(ev.b));
