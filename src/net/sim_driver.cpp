@@ -127,7 +127,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
             // Arrival-side result/metric recording is bookkeeping, not
             // generation: attribute it to the egress section.
             auto scope = egress_timer.time();
-            result.all_arrivals.push_back(pkt);
             ++result.offered_packets;
             WFQS_TRACE_INSTANT("arrival", "net", ns_to_trace_us(a.time));
             if (m_offered) m_offered->inc();

@@ -21,7 +21,6 @@ namespace wfqs::net {
 
 struct SimResult {
     std::vector<PacketRecord> records;    ///< completed transmissions
-    std::vector<Packet> all_arrivals;     ///< every offered packet (incl. drops)
     std::uint64_t offered_packets = 0;
     std::uint64_t dropped_packets = 0;
     std::uint64_t sorter_faults = 0;      ///< FaultErrors recovered in-run

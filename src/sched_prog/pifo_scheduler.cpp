@@ -23,39 +23,23 @@ net::FlowId PifoScheduler::add_flow(std::uint32_t weight) {
     return rank_->add_flow(weight);
 }
 
-std::uint32_t PifoScheduler::allocate_slot(std::uint64_t rank,
-                                           scheduler::BufferRef ref,
-                                           std::uint32_t size_bytes) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    slots_[slot] = Pending{rank, ref, size_bytes, true};
-    return slot;
-}
-
 bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     const auto ref = buffer_.store(packet);
     if (!ref) return false;
     const RankSet ranks = rank_->on_arrival(packet, now);
-    const std::uint32_t slot = allocate_slot(ranks.rank, *ref, packet.size_bytes);
     try {
         if (start_queue_) {
             // Two-stage: wait in start order until eligible.
-            start_queue_->insert(ranks.start, slot);
+            if (*ref >= service_rank_.size()) service_rank_.resize(*ref + 1);
+            service_rank_[*ref] = ranks.rank;
+            start_queue_->insert(ranks.start, *ref);
         } else {
-            primary_->insert(ranks.rank, slot);
+            primary_->insert(ranks.rank, *ref);
         }
     } catch (const std::invalid_argument&) {
         // The sorter's wrap window cannot hold this rank beside the live
         // ones; the sorter threw before changing anything. Drop, as RIFO
         // does, after the rank function has seen the packet.
-        slots_[slot].in_use = false;
-        free_slots_.push_back(slot);
         buffer_.retrieve(*ref);
         return false;
     }
@@ -68,7 +52,7 @@ void PifoScheduler::promote_eligible(net::TimeNs now) {
     while (const auto head = start_queue_->peek_min()) {
         if (head->tag > horizon) break;
         try {
-            primary_->insert(slots_[head->payload].rank, head->payload);
+            primary_->insert(service_rank_[head->payload], head->payload);
         } catch (const std::invalid_argument&) {
             // The primary's window cannot hold this rank yet: the packet
             // stays pending until service drains the window.
@@ -87,16 +71,12 @@ std::optional<net::Packet> PifoScheduler::do_dequeue(net::TimeNs now) {
             // eligible set is quantization rounding — force the head
             // across rather than idle the link.
             const auto moved = start_queue_->pop_min();
-            primary_->insert(slots_[moved->payload].rank, moved->payload);
+            primary_->insert(service_rank_[moved->payload], moved->payload);
         }
     }
     const auto entry = primary_->pop_min();
     if (!entry) return std::nullopt;
-    Pending& p = slots_[entry->payload];
-    WFQS_ASSERT(p.in_use);
-    p.in_use = false;
-    free_slots_.push_back(entry->payload);
-    const net::Packet packet = buffer_.retrieve(p.ref);
+    const net::Packet packet = buffer_.retrieve(entry->payload);
     rank_->on_service(packet, now);
     return packet;
 }
@@ -118,11 +98,11 @@ std::optional<std::uint32_t> PifoScheduler::peek_size(net::TimeNs now) {
     // promotes identically), so peeking may promote.
     if (start_queue_) promote_eligible(now);
     if (const auto head = primary_->peek_min())
-        return slots_[head->payload].size_bytes;
+        return buffer_.peek(head->payload).size_bytes;
     if (start_queue_) {
         // dequeue() would force-promote exactly this head and serve it.
         if (const auto head = start_queue_->peek_min())
-            return slots_[head->payload].size_bytes;
+            return buffer_.peek(head->payload).size_bytes;
     }
     return std::nullopt;
 }

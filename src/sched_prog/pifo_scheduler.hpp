@@ -63,23 +63,14 @@ public:
     std::size_t eligible_packets() const { return primary_->size(); }
 
 private:
-    struct Pending {
-        std::uint64_t rank;
-        scheduler::BufferRef ref;
-        std::uint32_t size_bytes;
-        bool in_use = false;
-    };
-    std::uint32_t allocate_slot(std::uint64_t rank, scheduler::BufferRef ref,
-                                std::uint32_t size_bytes);
     void promote_eligible(net::TimeNs now);
 
     Config config_;
     std::unique_ptr<RankFunction> rank_;
     std::unique_ptr<baselines::TagQueue> primary_;      ///< service-rank order
     std::unique_ptr<baselines::TagQueue> start_queue_;  ///< two-stage only
-    scheduler::SharedPacketBuffer buffer_;
-    std::vector<Pending> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    scheduler::SharedPacketBuffer buffer_;  ///< sorter payloads are its refs
+    std::vector<std::uint64_t> service_rank_;  ///< two-stage only; by ref
 };
 
 }  // namespace wfqs::sched_prog

@@ -1,81 +1,62 @@
 #include "scheduler/packet_buffer.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 
 namespace wfqs::scheduler {
 
-namespace {
-constexpr BufferRef kEnd = ~BufferRef{0};
-}
-
 SharedPacketBuffer::SharedPacketBuffer() : SharedPacketBuffer(Config{}) {}
 
 SharedPacketBuffer::SharedPacketBuffer(const Config& config)
-    : cell_bytes_(config.cell_bytes),
-      total_cells_(config.total_bytes / config.cell_bytes) {
-    WFQS_REQUIRE(config.cell_bytes >= 16, "cells must hold at least a header");
+    : cell_bytes_(config.cell_bytes) {
+    WFQS_REQUIRE(cell_bytes_ >= 16, "cells must hold at least a header");
+    total_cells_ = config.total_bytes / cell_bytes_;
     WFQS_REQUIRE(total_cells_ >= 2, "buffer too small for any packet");
-    cells_.resize(total_cells_);
-    free_cells_.reserve(total_cells_);
-    for (std::size_t i = total_cells_; i-- > 0;)
-        free_cells_.push_back(static_cast<BufferRef>(i));
+    WFQS_REQUIRE(total_cells_ <= std::numeric_limits<BufferRef>::max(),
+                 "buffer has more cells than a BufferRef can address");
 }
 
 std::size_t SharedPacketBuffer::cells_for(std::uint32_t bytes) const {
-    return static_cast<std::size_t>(ceil_div(std::max<std::uint32_t>(bytes, 1),
-                                             static_cast<std::uint32_t>(cell_bytes_)));
+    return static_cast<std::size_t>(
+        ceil_div(std::max<std::uint32_t>(bytes, 1), cell_bytes_));
 }
 
 std::optional<BufferRef> SharedPacketBuffer::store(const net::Packet& packet) {
     const std::size_t need = cells_for(packet.size_bytes);
-    if (free_cells_.size() < need) {
+    if (total_cells_ - used_cells_ < need) {
         ++drops_;
         return std::nullopt;
     }
-    BufferRef head = kEnd;
-    BufferRef prev = kEnd;
-    for (std::size_t i = 0; i < need; ++i) {
-        const BufferRef c = free_cells_.back();
-        free_cells_.pop_back();
-        cells_[c].next = kEnd;
-        cells_[c].is_head = false;
-        if (head == kEnd) {
-            head = c;
-        } else {
-            cells_[prev].next = c;
-        }
-        prev = c;
+    BufferRef ref;
+    if (free_descriptors_.empty()) {
+        ref = static_cast<BufferRef>(descriptors_.size());
+        descriptors_.emplace_back();
+    } else {
+        ref = free_descriptors_.back();
+        free_descriptors_.pop_back();
     }
-    cells_[head].packet = packet;
-    cells_[head].is_head = true;
-    ++stored_packets_;
-    peak_used_cells_ = std::max(peak_used_cells_, used_cells());
-    return head;
+    descriptors_[ref] = Descriptor{packet, static_cast<std::uint32_t>(need)};
+    used_cells_ += need;
+    peak_used_cells_ = std::max(peak_used_cells_, used_cells_);
+    return ref;
 }
 
 const net::Packet& SharedPacketBuffer::peek(BufferRef ref) const {
-    WFQS_ASSERT_MSG(ref < cells_.size() && cells_[ref].is_head,
-                    "peek of an address that is not a stored packet head");
-    return cells_[ref].packet;
+    WFQS_ASSERT_MSG(is_stored(ref), "peek of a ref that is not a stored packet head");
+    return descriptors_[ref].packet;
 }
 
 net::Packet SharedPacketBuffer::retrieve(BufferRef ref) {
-    WFQS_ASSERT_MSG(ref < cells_.size() && cells_[ref].is_head,
-                    "retrieve of an address that is not a stored packet head");
-    const net::Packet packet = cells_[ref].packet;
-    BufferRef c = ref;
-    while (c != kEnd) {
-        const BufferRef next = cells_[c].next;
-        cells_[c].is_head = false;
-        free_cells_.push_back(c);
-        c = next;
-    }
-    WFQS_ASSERT(stored_packets_ > 0);
-    --stored_packets_;
-    return packet;
+    WFQS_ASSERT_MSG(is_stored(ref),
+                    "retrieve of a ref that is not a stored packet head");
+    Descriptor& d = descriptors_[ref];
+    used_cells_ -= d.cells;
+    d.cells = 0;
+    free_descriptors_.push_back(ref);
+    return d.packet;
 }
 
 }  // namespace wfqs::scheduler

@@ -2,10 +2,14 @@
 // (Fig. 1; ref [9] "a shared buffer architecture for a gigabit ethernet
 // packet switch").
 //
-// Packets of any size share one memory pool of fixed-size cells chained
-// by next-pointers, exactly like the referenced shared-buffer switch: a
-// store returns the address of the packet's first cell — the pointer the
-// sorter carries next to the tag — and retrieval frees the chain.
+// Packets of any size share one pool of fixed-size cells, exactly like
+// the referenced shared-buffer switch: a packet occupies ceil(size/cell)
+// cells and is tail-dropped when fewer cells are free. The cell chain
+// carries no modeled cycles, so it is accounted but not walked: the pool
+// is a free-cell count, and each stored packet is one descriptor in a
+// slab that grows on demand. A store returns the descriptor's index — the
+// pointer the sorter carries next to the tag — and retrieval frees it;
+// both cost O(1) whatever the packet size.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,7 @@ public:
     SharedPacketBuffer();
     explicit SharedPacketBuffer(const Config& config);
 
-    /// Store a packet; returns the head-cell address, or nullopt when the
+    /// Store a packet; returns its descriptor index, or nullopt when the
     /// free pool cannot hold it (tail drop).
     std::optional<BufferRef> store(const net::Packet& packet);
 
@@ -39,25 +43,29 @@ public:
     /// lookup, e.g. DRR checking the head-of-line size).
     const net::Packet& peek(BufferRef ref) const;
 
-    std::size_t stored_packets() const { return stored_packets_; }
-    std::size_t used_cells() const { return total_cells_ - free_cells_.size(); }
+    std::size_t stored_packets() const {
+        return descriptors_.size() - free_descriptors_.size();
+    }
+    std::size_t used_cells() const { return used_cells_; }
     std::size_t total_cells() const { return total_cells_; }
     std::uint64_t drops() const { return drops_; }
     std::size_t peak_used_cells() const { return peak_used_cells_; }
 
 private:
-    struct Cell {
-        net::Packet packet;   ///< populated in the head cell only
-        BufferRef next;
-        bool is_head = false;
+    struct Descriptor {
+        net::Packet packet;
+        std::uint32_t cells = 0;  ///< 0 while the descriptor is free
     };
     std::size_t cells_for(std::uint32_t bytes) const;
+    bool is_stored(BufferRef ref) const {
+        return ref < descriptors_.size() && descriptors_[ref].cells != 0;
+    }
 
     std::size_t cell_bytes_;
     std::size_t total_cells_;
-    std::vector<Cell> cells_;
-    std::vector<BufferRef> free_cells_;
-    std::size_t stored_packets_ = 0;
+    std::size_t used_cells_ = 0;
+    std::vector<Descriptor> descriptors_;
+    std::vector<BufferRef> free_descriptors_;
     std::size_t peak_used_cells_ = 0;
     std::uint64_t drops_ = 0;
 };

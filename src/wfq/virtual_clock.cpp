@@ -39,36 +39,28 @@ WfqVirtualTime::WfqVirtualTime(std::uint64_t rate_bps) : rate_(rate_bps) {
 
 FlowId WfqVirtualTime::add_flow(std::uint32_t weight) {
     WFQS_REQUIRE(weight > 0, "flow weight must be positive");
-    flows_.push_back(Flow{weight, Fixed{}, false});
+    flows_.push_back(Flow{weight, Fixed{}});
     return static_cast<FlowId>(flows_.size() - 1);
 }
 
 void WfqVirtualTime::advance_to(TimeNs now) {
     WFQS_ASSERT_MSG(now >= t_, "time must be non-decreasing");
-    while (true) {
-        // Discard stale idle events (the flow received more packets since).
-        while (!idle_events_.empty()) {
-            const IdleEvent& e = idle_events_.top();
-            const Flow& f = flows_[e.flow];
-            if (!f.busy || f.last_finish != e.at_virtual) {
-                idle_events_.pop();
-                continue;
-            }
-            break;
-        }
-        if (busy_weight_ == 0 || idle_events_.empty()) break;
-
-        const IdleEvent e = idle_events_.top();
-        const TimeNs cross = t_ + ns_for(e.at_virtual - v_, busy_weight_, rate_);
+    while (!busy_.empty()) {
+        Flow& f = flows_[busy_.front()];
+        const TimeNs cross = t_ + ns_for(f.last_finish - v_, busy_weight_, rate_);
         if (cross > now) break;
-        // The flow's backlog drains at virtual time e.at_virtual.
-        idle_events_.pop();
-        v_ = e.at_virtual;
+        // The flow's backlog drains at virtual time f.last_finish.
+        v_ = f.last_finish;
         t_ = cross;
-        Flow& f = flows_[e.flow];
-        f.busy = false;
+        f.heap_pos = kIdle;
         WFQS_ASSERT(busy_weight_ >= f.weight);
         busy_weight_ -= f.weight;
+        const FlowId last = busy_.back();
+        busy_.pop_back();
+        if (!busy_.empty()) {
+            place(0, last);
+            sift_down(0);
+        }
     }
     if (busy_weight_ > 0 && now > t_) v_ += dv_for(now - t_, rate_, busy_weight_);
     t_ = now;
@@ -84,11 +76,13 @@ Fixed WfqVirtualTime::on_arrival(FlowId flow, TimeNs now, std::uint32_t size_bit
     const Fixed start = max(v_, f.last_finish);
     const Fixed finish = start + Fixed::ratio(size_bits, f.weight);
     f.last_finish = finish;
-    if (!f.busy) {
-        f.busy = true;
+    if (f.heap_pos == kIdle) {
         busy_weight_ += f.weight;
+        busy_.push_back(flow);
+        sift_up(static_cast<std::uint32_t>(busy_.size() - 1));
+    } else {
+        sift_down(f.heap_pos);  // a busy flow's key only grows
     }
-    idle_events_.push(IdleEvent{finish, flow});
     last_start_ = start;
     return finish;
 }
@@ -97,6 +91,37 @@ TimeNs WfqVirtualTime::eq1_next_departure(Fixed m_min, TimeNs now) {
     advance_to(now);
     if (busy_weight_ == 0 || m_min <= v_) return now;
     return now + ns_for(m_min - v_, busy_weight_, rate_);
+}
+
+void WfqVirtualTime::place(std::uint32_t pos, FlowId flow) {
+    busy_[pos] = flow;
+    flows_[flow].heap_pos = pos;
+}
+
+void WfqVirtualTime::sift_up(std::uint32_t pos) {
+    const FlowId flow = busy_[pos];
+    const Fixed k = flows_[flow].last_finish;
+    while (pos > 0) {
+        const std::uint32_t parent = (pos - 1) / 2;
+        if (!(k < key(parent))) break;
+        place(pos, busy_[parent]);
+        pos = parent;
+    }
+    place(pos, flow);
+}
+
+void WfqVirtualTime::sift_down(std::uint32_t pos) {
+    const FlowId flow = busy_[pos];
+    const Fixed k = flows_[flow].last_finish;
+    const auto n = static_cast<std::uint32_t>(busy_.size());
+    while (2 * pos + 1 < n) {
+        std::uint32_t child = 2 * pos + 1;
+        if (child + 1 < n && key(child + 1) < key(child)) ++child;
+        if (!(key(child) < k)) break;
+        place(pos, busy_[child]);
+        pos = child;
+    }
+    place(pos, flow);
 }
 
 }  // namespace wfqs::wfq

@@ -12,10 +12,15 @@
 // minimum time stamp M_min still in the sort/retrieve circuit. This is
 // the feedback path that makes the sorter "integral to the operation of
 // the entire scheduler" (§II-A).
+//
+// A busy flow can only go idle at its newest finish tag, so the busy set
+// is an indexed min-heap keyed by each flow's last finish: one entry per
+// busy flow, bounded by the flow count rather than the backlog. Flows
+// with equal keys drain at the same real time (the later ones cross a
+// zero virtual interval), so the tie order never shows.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -54,16 +59,16 @@ public:
     std::uint64_t busy_weight() const { return busy_weight_; }
 
 private:
+    static constexpr std::uint32_t kIdle = ~std::uint32_t{0};
     struct Flow {
         std::uint32_t weight;
-        Fixed last_finish;  ///< F of the flow's newest packet
-        bool busy = false;
+        Fixed last_finish;              ///< F of the flow's newest packet
+        std::uint32_t heap_pos = kIdle;  ///< index in busy_, kIdle when idle
     };
-    struct IdleEvent {
-        Fixed at_virtual;
-        FlowId flow;
-        bool operator>(const IdleEvent& o) const { return at_virtual > o.at_virtual; }
-    };
+    Fixed key(std::uint32_t pos) const { return flows_[busy_[pos]].last_finish; }
+    void place(std::uint32_t pos, FlowId flow);
+    void sift_up(std::uint32_t pos);
+    void sift_down(std::uint32_t pos);
 
     std::uint64_t rate_;
     Fixed v_;
@@ -71,8 +76,7 @@ private:
     std::uint64_t busy_weight_ = 0;
     Fixed last_start_;
     std::vector<Flow> flows_;
-    std::priority_queue<IdleEvent, std::vector<IdleEvent>, std::greater<IdleEvent>>
-        idle_events_;
+    std::vector<FlowId> busy_;  ///< min-heap of busy flows by last_finish
 };
 
 }  // namespace wfqs::wfq

@@ -4,6 +4,7 @@
 // ordering edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -96,29 +97,44 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PacketBufferStress, FragmentationChurn) {
     scheduler::SharedPacketBuffer buf({64 * 256, 64});  // 256 cells
     Rng rng(31);
-    std::vector<scheduler::BufferRef> live;
-    std::uint64_t id = 0;
-    std::uint64_t stores = 0;
+    struct Live {
+        scheduler::BufferRef ref;
+        net::Packet packet;
+    };
+    const auto cells_of = [](const net::Packet& p) {
+        return static_cast<std::size_t>((p.size_bytes + 63) / 64);
+    };
+    std::vector<Live> live;
+    std::size_t cells = 0, peak = 0;
+    std::uint64_t id = 0, stores = 0, refused = 0;
     for (int iter = 0; iter < 20000; ++iter) {
         if (rng.next_bool(0.55)) {
-            const auto size = static_cast<std::uint32_t>(rng.next_range(40, 1500));
-            const auto ref = buf.store({id, 0, size, 0});
-            if (ref) {
-                live.push_back(*ref);
+            const net::Packet p{id++, static_cast<net::FlowId>(rng.next_below(8)),
+                                static_cast<std::uint32_t>(rng.next_range(40, 1500)),
+                                rng.next_u64()};
+            if (const auto ref = buf.store(p)) {
+                live.push_back({*ref, p});
+                cells += cells_of(p);
                 ++stores;
-                ++id;
+            } else {
+                ++refused;
             }
         } else if (!live.empty()) {
             const std::size_t pick = rng.next_below(live.size());
-            buf.retrieve(live[pick]);
+            ASSERT_EQ(buf.retrieve(live[pick].ref), live[pick].packet);
+            cells -= cells_of(live[pick].packet);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         }
+        peak = std::max(peak, cells);
         ASSERT_EQ(buf.stored_packets(), live.size());
-        ASSERT_LE(buf.used_cells(), buf.total_cells());
+        ASSERT_EQ(buf.used_cells(), cells);
+        ASSERT_EQ(buf.peak_used_cells(), peak);
+        ASSERT_EQ(buf.drops(), refused);
     }
     EXPECT_GT(stores, 5000u);
+    EXPECT_GT(refused, 0u);
     // Full cleanup releases every cell.
-    for (const auto ref : live) buf.retrieve(ref);
+    for (const auto& l : live) EXPECT_EQ(buf.retrieve(l.ref), l.packet);
     EXPECT_EQ(buf.used_cells(), 0u);
 }
 
@@ -128,6 +144,29 @@ TEST(PacketBufferStress, RetrieveInvalidRefAborts) {
     const auto ref = buf.store({1, 0, 100, 0});
     buf.retrieve(*ref);
     EXPECT_DEATH(buf.retrieve(*ref), "not a stored packet head");  // double free
+}
+
+TEST(PacketBufferStress, PeekFreedRefAborts) {
+    scheduler::SharedPacketBuffer buf({4096, 64});
+    const auto ref = buf.store({1, 0, 100, 0});
+    buf.retrieve(*ref);
+    EXPECT_DEATH(buf.peek(*ref), "not a stored packet head");
+}
+
+TEST(PacketBufferStress, FreedRefIsReusedByALaterStore) {
+    scheduler::SharedPacketBuffer buf({4096, 64});
+    const net::Packet a{1, 0, 100, 5};
+    const net::Packet b{2, 3, 1500, 9};
+    const auto ra = buf.store(a);
+    ASSERT_TRUE(ra.has_value());
+    EXPECT_EQ(buf.retrieve(*ra), a);
+    const auto rb = buf.store(b);
+    ASSERT_EQ(rb, ra);  // the freed descriptor serves the next store
+    EXPECT_EQ(buf.peek(*rb), b);
+    EXPECT_EQ(buf.used_cells(), 24u);  // ceil(1500/64), none left from a
+    EXPECT_EQ(buf.retrieve(*rb), b);
+    EXPECT_EQ(buf.used_cells(), 0u);
+    EXPECT_DEATH(buf.retrieve(*ra), "not a stored packet head");
 }
 
 // ------------------------------------------- stats numerics

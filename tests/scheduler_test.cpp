@@ -57,6 +57,15 @@ TEST(PacketBuffer, TracksPeakOccupancy) {
     EXPECT_EQ(buf.peak_used_cells(), 10u);
 }
 
+TEST(PacketBuffer, RejectsBadConfig) {
+    // Checked before any division by the cell size.
+    EXPECT_THROW(SharedPacketBuffer({4096, 0}), std::invalid_argument);
+    EXPECT_THROW(SharedPacketBuffer({4096, 8}), std::invalid_argument);
+    EXPECT_THROW(SharedPacketBuffer({64, 64}), std::invalid_argument);  // one cell
+    // More cells than a 32-bit BufferRef can address.
+    EXPECT_THROW(SharedPacketBuffer({std::size_t{1} << 40, 16}), std::invalid_argument);
+}
+
 // ---------------------------------------------------- helper workload
 
 struct ShareResult {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <queue>
 
 #include "common/rng.hpp"
 #include "wfq/gps_fluid.hpp"
@@ -189,6 +190,124 @@ TEST(WfqVirtualTime, Eq1ScalesWithBusyWeight) {
     EXPECT_NEAR(static_cast<double>(two_flows.eq1_next_departure(m2, 0)),
                 2.0 * static_cast<double>(one_flow.eq1_next_departure(m1, 0)),
                 1e3);
+}
+
+/// Lockstep reference for WfqVirtualTime's busy-flow heap: one idle event
+/// per arrival in a priority queue, and events made stale by a later
+/// arrival on the same flow discarded when they surface.
+class StaleDiscardClock {
+public:
+    explicit StaleDiscardClock(std::uint64_t rate) : rate_(rate) {}
+    void add_flow(std::uint32_t weight) { flows_.push_back({weight, Fixed{}, false}); }
+
+    void advance_to(TimeNs now) {
+        while (!events_.empty()) {
+            const auto [at, id] = events_.top();
+            Flow& f = flows_[id];
+            if (!f.busy || f.last_finish != at) {
+                events_.pop();
+                continue;
+            }
+            const TimeNs cross = t_ + ns_for(at - v);
+            if (cross > now) break;
+            events_.pop();
+            tied_drains += (at == v);
+            v = at;
+            t_ = cross;
+            f.busy = false;
+            busy_weight -= f.weight;
+        }
+        if (busy_weight > 0 && now > t_) {
+            const auto num = (static_cast<unsigned __int128>(now - t_) * rate_
+                              << Fixed::kFracBits) /
+                             (static_cast<unsigned __int128>(busy_weight) * kNsPerSec);
+            v += Fixed::from_raw(static_cast<std::uint64_t>(num));
+        }
+        t_ = now;
+    }
+    Fixed on_arrival(FlowId id, TimeNs now, std::uint32_t size_bits) {
+        advance_to(now);
+        Flow& f = flows_[id];
+        last_start = max(v, f.last_finish);
+        f.last_finish = last_start + Fixed::ratio(size_bits, f.weight);
+        if (!f.busy) busy_weight += f.weight;
+        f.busy = true;
+        events_.push({f.last_finish, id});
+        return f.last_finish;
+    }
+    TimeNs eq1_next_departure(Fixed m_min, TimeNs now) {
+        advance_to(now);
+        return busy_weight == 0 || m_min <= v ? now : now + ns_for(m_min - v);
+    }
+
+    Fixed v, last_start;
+    std::uint64_t busy_weight = 0;
+    std::uint64_t tied_drains = 0;  ///< drains at a zero virtual interval
+
+private:
+    static constexpr std::uint64_t kNsPerSec = 1'000'000'000ULL;
+    struct Flow {
+        std::uint32_t weight;
+        Fixed last_finish;
+        bool busy;
+    };
+    using Event = std::pair<Fixed, FlowId>;
+    TimeNs ns_for(Fixed dv) const {
+        return static_cast<TimeNs>(static_cast<unsigned __int128>(dv.raw()) * busy_weight *
+                                   kNsPerSec /
+                                   (static_cast<unsigned __int128>(rate_) << Fixed::kFracBits));
+    }
+
+    std::uint64_t rate_;
+    TimeNs t_ = 0;
+    std::vector<Flow> flows_;
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+};
+
+TEST(WfqVirtualTime, LockstepWithStaleDiscardReference) {
+    // Random streams over 1-64 flows; every third trial forces equal
+    // finish tags (one weight, one size, bursts at one ns). Long idle gaps
+    // drain the system; eq. (1) queries interleave with arrivals.
+    Rng rng(20261017);
+    std::uint64_t tied_drains = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::uint64_t rate = 1'000'000ULL << rng.next_below(11);
+        const bool equal_tags = trial % 3 == 0;
+        const std::uint64_t gap = rng.next_range(1'000, 10'000'000);
+        WfqVirtualTime vt(rate);
+        StaleDiscardClock ref(rate);
+        const auto flows = static_cast<std::uint32_t>(rng.next_range(1, 64));
+        const auto shared_weight = static_cast<std::uint32_t>(rng.next_range(1, 16));
+        for (std::uint32_t i = 0; i < flows; ++i) {
+            const auto w = equal_tags ? shared_weight
+                                      : static_cast<std::uint32_t>(rng.next_range(1, 100));
+            vt.add_flow(w);
+            ref.add_flow(w);
+        }
+        TimeNs t = 0;
+        for (int op = 0; op < 400; ++op) {
+            const std::uint64_t pick = rng.next_below(100);
+            if (pick < 3) {
+                t += rng.next_range(1'000'000'000, 5'000'000'000);  // long idle gap
+            } else if (!equal_tags || pick < 15) {
+                t += rng.next_below(gap);
+            }
+            if (pick % 4 == 0) {
+                const Fixed m = Fixed::from_raw(rng.next_below(ref.v.raw() + (1ULL << 40)));
+                ASSERT_EQ(vt.eq1_next_departure(m, t), ref.eq1_next_departure(m, t));
+            } else {
+                const auto flow = static_cast<FlowId>(rng.next_below(flows));
+                const auto bits =
+                    equal_tags ? 4000u : static_cast<std::uint32_t>(rng.next_range(64, 12000));
+                ASSERT_EQ(vt.on_arrival(flow, t, bits), ref.on_arrival(flow, t, bits));
+                ASSERT_EQ(vt.last_start(), ref.last_start);
+            }
+            ASSERT_EQ(vt.virtual_time(), ref.v) << "trial " << trial << " op " << op;
+            ASSERT_EQ(vt.busy_weight(), ref.busy_weight) << "trial " << trial << " op " << op;
+        }
+        tied_drains += ref.tied_drains;
+    }
+    EXPECT_GT(tied_drains, 100u);  // the tie path was exercised
 }
 
 // ----------------------------------------------------------- tag family
