@@ -23,7 +23,7 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "wfq/tag_computer.hpp"
 
 using namespace wfqs;
@@ -37,11 +37,10 @@ constexpr net::TimeNs kSecond = 1'000'000'000;
 // sampling the distribution every millisecond.
 void profile_distribution(const char* label, std::vector<net::FlowSpec> flows,
                           std::uint64_t rate) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -6;
-    scheduler::FairQueueingScheduler sched(
-        cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    sched_prog::PifoScheduler::Config cfg;  // WFQ at -6 tag granularity
+    cfg.rank.link_rate_bps = rate;
+    sched_prog::PifoScheduler sched(
+        cfg, [] { return baselines::make_tag_queue(baselines::QueueKind::Heap); });
     net::SimDriver driver(rate);
     const auto result = driver.run(sched, flows);
 

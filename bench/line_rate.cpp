@@ -26,7 +26,7 @@
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/profiler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
 using namespace wfqs::core;
@@ -39,16 +39,6 @@ baselines::QueueParams host_queue_params(baselines::SorterBackend backend) {
     qp.capacity = 1 << 16;
     qp.backend = backend;
     return qp;
-}
-
-scheduler::FairQueueingScheduler make_wfq(std::uint64_t rate,
-                                          baselines::SorterBackend backend) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -6;
-    return scheduler::FairQueueingScheduler(
-        cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                       host_queue_params(backend)));
 }
 
 // --- host-throughput phase (both backends, every run) -------------------
@@ -134,7 +124,12 @@ std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
         driver.set_profiler(&prof);
         prof.start_sampling();
     }
-    auto sched = make_wfq(kRate, backend);
+    sched_prog::PifoScheduler::Config cfg;  // WFQ at -6 tag granularity
+    cfg.rank.link_rate_bps = kRate;
+    sched_prog::PifoScheduler sched(cfg, [backend] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                         host_queue_params(backend));
+    });
     auto flows = net::make_mixed_profile(kHorizon, reporter.seed(3));
     const auto t0 = std::chrono::steady_clock::now();
     const net::SimResult r = driver.run(sched, flows);

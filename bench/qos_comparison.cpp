@@ -19,11 +19,10 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
-#include "scheduler/fifo.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/cbq_scheduler.hpp"
+#include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
-#include "scheduler/wf2q_scheduler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 using namespace wfqs;
 
@@ -140,34 +139,18 @@ int main(int argc, char** argv) {
         reg.gauge(base + "jain_index").set(r.jain);
     };
 
-    {
-        scheduler::FairQueueingScheduler::Config cfg;
-        cfg.link_rate_bps = kRate;
-        cfg.tag_granularity_bits = -6;
-        scheduler::FairQueueingScheduler wfq(
-            cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                           kSorterParams));
-        add(evaluate(wfq, reporter.registry(), kSeedShift));
-    }
-    {
-        scheduler::FairQueueingScheduler::Config cfg;
-        cfg.link_rate_bps = kRate;
-        cfg.tag_granularity_bits = -6;
-        cfg.algorithm = wfq::FairQueueingKind::Scfq;
-        scheduler::FairQueueingScheduler scfq(
-            cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                           kSorterParams));
-        add(evaluate(scfq, reporter.registry(), kSeedShift));
-    }
-    {
-        scheduler::Wf2qScheduler::Config cfg;
-        cfg.link_rate_bps = kRate;
-        cfg.tag_granularity_bits = -6;
-        scheduler::Wf2qScheduler wf2q(
-            cfg,
-            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, kSorterParams),
-            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, kSorterParams));
-        add(evaluate(wf2q, reporter.registry(), kSeedShift));
+    // The fair-queueing rows: one rank policy each on the paper's sorter,
+    // at the default -6 tag granularity.
+    for (const auto policy : {sched_prog::RankPolicy::kWfq, sched_prog::RankPolicy::kScfq,
+                              sched_prog::RankPolicy::kWf2q}) {
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.policy = policy;
+        cfg.rank.link_rate_bps = kRate;
+        sched_prog::PifoScheduler fq(cfg, [&] {
+            return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                             kSorterParams);
+        });
+        add(evaluate(fq, reporter.registry(), kSeedShift));
     }
     {
         scheduler::WrrScheduler wrr;

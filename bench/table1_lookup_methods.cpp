@@ -13,6 +13,12 @@
 //   - TCAM ~ W probes; binary tree ~ W; multi-bit tree ~ W/k — the
 //     smallest worst case of all hardware options;
 //   - software structures scale with N (or log N), not the word width.
+//
+// A second, host-side section times an insert/pop sweep over the main
+// structures in wall-clock ns/op (host.* gauges: machine-dependent, so
+// tools/perf_smoke.py ignores them).
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "baselines/factory.hpp"
@@ -57,6 +63,32 @@ int main(int argc, char** argv) {
         reg.gauge(base + "avg_accesses_per_op").set(q->stats().avg_accesses_per_op());
     }
     std::printf("%s\n", table.render().c_str());
+
+    // Host cost: alternate inserts and pops around ~256 live 12-bit tags.
+    constexpr int kHostOps = 1 << 20;
+    TextTable host({"method", "host ns/op"});
+    for (const QueueKind kind : {QueueKind::MultibitTree, QueueKind::Heap,
+                                 QueueKind::Skiplist, QueueKind::Calendar,
+                                 QueueKind::Veb}) {
+        auto q = make_tag_queue(kind, {12, 8192});
+        Rng rng(reporter.seed(2));
+        std::uint64_t min_live = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kHostOps; ++i) {
+            if (q->size() < 256) {
+                q->insert(std::min<std::uint64_t>(min_live + rng.next_below(500), 4095), 0);
+            } else if (const auto e = q->pop_min()) {
+                min_live = std::max(min_live, e->tag);
+            }
+        }
+        const double ns = std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count() /
+                          kHostOps;
+        host.add_row({q->name(), TextTable::num(ns, 1)});
+        reporter.registry().gauge("host.t1." + q->name() + ".ns_per_op").set(ns);
+    }
+    std::printf("%s\n", host.render().c_str());
 
     std::printf("Paper's verdict (§II-D): the multi-bit tree has the lowest\n");
     std::printf("worst-case lookup complexity of all options and conforms to the\n");

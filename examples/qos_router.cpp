@@ -17,8 +17,8 @@
 #include "common/table.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 using namespace wfqs;
 
@@ -75,21 +75,23 @@ int main() {
 
     // Fair queueing with the paper's sorter as the tag queue.
     {
-        scheduler::FairQueueingScheduler::Config cfg;
-        cfg.link_rate_bps = kLinkRate;
-        cfg.tag_granularity_bits = -6;
-        scheduler::FairQueueingScheduler wfq(
-            cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                           {20, 1 << 16}));
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.rank.link_rate_bps = kLinkRate;
+        const baselines::TagQueue* queue = nullptr;
+        sched_prog::PifoScheduler wfq(cfg, [&] {
+            auto q = baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                               {20, 1 << 16});
+            queue = q.get();
+            return q;
+        });
         auto flows = make_traffic();
         net::SimDriver driver(kLinkRate);
         const auto result = driver.run(wfq, flows);
         report("WFQ + multi-bit tree sorter", result, flows.size());
 
-        const auto& q = wfq.tag_queue();
         std::printf("sorter activity: %llu inserts, worst %llu SRAM accesses/op\n\n",
-                    static_cast<unsigned long long>(q.stats().inserts),
-                    static_cast<unsigned long long>(q.stats().worst_insert_accesses));
+                    static_cast<unsigned long long>(queue->stats().inserts),
+                    static_cast<unsigned long long>(queue->stats().worst_insert_accesses));
     }
 
     // The same traffic through a plain FIFO.

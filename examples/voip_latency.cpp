@@ -1,7 +1,7 @@
 // VoIP latency study: how the choice of tag queue inside the WFQ
 // scheduler affects voice delay — the paper's sorter vs the inexact
 // binning technique it criticises (§II-B), plus the fair-queueing
-// algorithm family (WFQ / WF2Q+ / SCFQ) on the same sorter.
+// algorithm family (WFQ / WF2Q+ / SCFQ / FBFQ) on the same sorter.
 //
 //   ./build/examples/voip_latency
 #include <cstdio>
@@ -11,7 +11,7 @@
 #include "common/table.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
 
@@ -26,7 +26,7 @@ struct Outcome {
     double max_ms;
 };
 
-Outcome run(scheduler::FairQueueingScheduler& sched) {
+Outcome run(scheduler::Scheduler& sched) {
     std::vector<net::FlowSpec> flows;
     for (std::size_t i = 0; i < kVoipFlows; ++i)
         flows.push_back({std::make_unique<net::VoipSource>(2 * kSecond, 30 + i), 8});
@@ -45,14 +45,6 @@ Outcome run(scheduler::FairQueueingScheduler& sched) {
     return out;
 }
 
-scheduler::FairQueueingScheduler::Config base_config(wfq::FairQueueingKind kind) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = kRate;
-    cfg.tag_granularity_bits = -6;
-    cfg.algorithm = kind;
-    return cfg;
-}
-
 }  // namespace
 
 int main() {
@@ -62,24 +54,24 @@ int main() {
 
     struct Case {
         const char* label;
-        wfq::FairQueueingKind alg;
+        sched_prog::RankPolicy policy;
         baselines::QueueKind queue;
     };
+    using sched_prog::RankPolicy;
     const Case cases[] = {
-        {"WFQ + multi-bit tree", wfq::FairQueueingKind::Wfq,
+        {"WFQ + multi-bit tree", RankPolicy::kWfq, baselines::QueueKind::MultibitTree},
+        {"WF2Q+ + 2x multi-bit tree", RankPolicy::kWf2q,
          baselines::QueueKind::MultibitTree},
-        {"WF2Q+ + multi-bit tree", wfq::FairQueueingKind::Wf2qPlus,
-         baselines::QueueKind::MultibitTree},
-        {"SCFQ + multi-bit tree", wfq::FairQueueingKind::Scfq,
-         baselines::QueueKind::MultibitTree},
-        {"FBFQ + multi-bit tree", wfq::FairQueueingKind::Fbfq,
-         baselines::QueueKind::MultibitTree},
-        {"WFQ + binning (inexact)", wfq::FairQueueingKind::Wfq,
-         baselines::QueueKind::Binning},
+        {"SCFQ + multi-bit tree", RankPolicy::kScfq, baselines::QueueKind::MultibitTree},
+        {"FBFQ + multi-bit tree", RankPolicy::kFbfq, baselines::QueueKind::MultibitTree},
+        {"WFQ + binning (inexact)", RankPolicy::kWfq, baselines::QueueKind::Binning},
     };
     for (const auto& c : cases) {
-        scheduler::FairQueueingScheduler sched(
-            base_config(c.alg), baselines::make_tag_queue(c.queue, {20, 1 << 16}));
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.policy = c.policy;
+        cfg.rank.link_rate_bps = kRate;
+        sched_prog::PifoScheduler sched(
+            cfg, [&] { return baselines::make_tag_queue(c.queue, {20, 1 << 16}); });
         const Outcome o = run(sched);
         table.add_row({c.label, TextTable::num(o.p99_ms, 2), TextTable::num(o.max_ms, 2)});
     }

@@ -7,12 +7,12 @@
 // maximum packet transmission time, D_p <= F_gps + Lmax/r. Exact WF2Q
 // (eligibility tested against the true GPS virtual time, ref [5]) obeys
 // the same bound — but only with the *exact* clock: this oracle caught
-// Wf2qScheduler breaking the bound by up to 3.4 Lmax/r when its
-// eligibility gate ran on the flat O(1) WF2Q+ clock, whose virtual time
-// advances at r/Φ_total over all registered flows and so lags GPS
-// whenever part of the flow set idles (see wf2q_scheduler.hpp). The
-// conformance harness runs randomized workloads through the real
-// schedulers and asks this oracle whether any packet broke the bound.
+// the two-sorter WF2Q scheduler breaking the bound by up to 3.4 Lmax/r
+// when its eligibility gate ran on the flat O(1) WF2Q+ clock (see
+// sched_prog::Wf2qRank in sched_prog/rank.cpp). The conformance harness
+// (proptest::diff_pifo_vs_gps) runs randomized workloads through
+// PifoScheduler's WFQ and WF2Q+ rank policies and asks this oracle
+// whether any packet broke the bound.
 //
 // Implementation-specific slack: the hardware tag path quantizes virtual
 // time (TagQuantizer, §III-D) and the discrete driver serves whole

@@ -30,6 +30,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -102,7 +103,9 @@ public:
 
 private:
     std::unique_ptr<sched_prog::RankFunction> rank_;
-    std::vector<std::vector<net::Packet>> queues_;  ///< [0] = highest prio
+    /// (packet, rank) FIFOs, [0] = highest prio; the rank feeds
+    /// on_service_rank when the packet is served.
+    std::vector<std::vector<std::pair<net::Packet, std::uint64_t>>> queues_;
     std::vector<std::size_t> heads_;                ///< pop cursor per queue
     std::vector<std::uint64_t> bounds_;
 };

@@ -6,13 +6,19 @@
 // PAPERS.md) showed that a wide family of scheduling disciplines reduces
 // to computing a *rank* per packet on enqueue and serving in rank order.
 // This module is that rank computation, factored out of the schedulers:
-// one interface, five disciplines —
+// one interface, seven disciplines —
 //
 //   STFQ/WFQ — virtual finish time from the exact GPS-tracking clock
 //              (wfq::WfqVirtualTime), quantized onto the tag space.
 //   WF2Q+    — the same finish rank plus a virtual *start* rank and an
 //              eligibility horizon (S <= V(t)); two-stage policies sort
-//              twice, exactly like scheduler::Wf2qScheduler.
+//              twice (start order, then finish order) — the paper's
+//              "two sort operations per packet" (§I-B).
+//   SCFQ     — self-clocked: V is the tag of the packet in service.
+//   FBFQ     — frame-based: V advances per frame of link service and is
+//              recalibrated to the service point at frame boundaries.
+//              SCFQ and FBFQ read the served rank back through
+//              on_service_rank.
 //   SRPT     — pFabric-style: rank = the flow's outstanding (queued)
 //              bytes at arrival, so short flows cut ahead of long ones.
 //   LSTF     — least-slack-time-first: rank = arrival time plus a
@@ -60,6 +66,14 @@ public:
         (void)now;
     }
 
+    /// Hook invoked with the served packet's rank, right after
+    /// on_service. The self-clocked policies (SCFQ, FBFQ) set their
+    /// virtual time from it; default no-op.
+    virtual void on_service_rank(std::uint64_t rank, net::TimeNs now) {
+        (void)rank;
+        (void)now;
+    }
+
     /// Two-stage policies gate service on eligibility: a packet may only
     /// be served once its start rank has been reached, so the scheduler
     /// sorts twice (start order, then rank order).
@@ -75,7 +89,7 @@ public:
     virtual std::string name() const = 0;
 };
 
-enum class RankPolicy { kWfq, kWf2q, kSrpt, kLstf, kPrio };
+enum class RankPolicy { kWfq, kWf2q, kSrpt, kLstf, kPrio, kScfq, kFbfq };
 
 /// Knobs shared by the policy implementations. The defaults fit the
 /// repo's standard sorter geometries (range_bits >= 16): every policy

@@ -43,6 +43,7 @@ std::optional<net::Packet> RifoScheduler::do_dequeue(net::TimeNs now) {
     ranks_.erase(ranks_.find(entry.rank));
     const net::Packet packet = buffer_.retrieve(entry.ref);
     rank_->on_service(packet, now);
+    rank_->on_service_rank(entry.rank, now);
     return packet;
 }
 

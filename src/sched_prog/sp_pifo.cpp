@@ -50,6 +50,7 @@ std::optional<net::Packet> SpPifoScheduler::do_dequeue(net::TimeNs now) {
         queue.pop_front();
         const net::Packet packet = buffer_.retrieve(entry.ref);
         rank_->on_service(packet, now);
+        rank_->on_service_rank(entry.rank, now);
         return packet;
     }
     return std::nullopt;

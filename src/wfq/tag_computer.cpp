@@ -8,57 +8,6 @@ namespace wfqs::wfq {
 
 void TagComputer::on_service_start(Fixed /*tag*/, TimeNs /*now*/) {}
 
-// ---------------------------------------------------------------- WF2Q+
-
-Wf2qPlusTagComputer::Wf2qPlusTagComputer(std::uint64_t rate_bps) : rate_(rate_bps) {
-    WFQS_REQUIRE(rate_bps > 0, "link rate must be positive");
-}
-
-FlowId Wf2qPlusTagComputer::add_flow(std::uint32_t weight) {
-    WFQS_REQUIRE(weight > 0, "flow weight must be positive");
-    flows_.push_back(Flow{weight, Fixed{}});
-    total_weight_ += weight;
-    return static_cast<FlowId>(flows_.size() - 1);
-}
-
-void Wf2qPlusTagComputer::advance_to(TimeNs now) {
-    WFQS_ASSERT(now >= last_event_);
-    // WF2Q+ system virtual time: advance with normalized elapsed work.
-    // V grows at rate r/Φ_total while the server is busy; the start-tag
-    // floor is applied at service events.
-    if (now > last_event_ && total_weight_ > 0) {
-        const unsigned __int128 add =
-            ((static_cast<unsigned __int128>(now - last_event_) * rate_)
-             << Fixed::kFracBits) /
-            (static_cast<unsigned __int128>(total_weight_) * 1'000'000'000ULL);
-        v_ = Fixed::from_raw(v_.raw() + static_cast<std::uint64_t>(add));
-    }
-    last_event_ = now;
-}
-
-void Wf2qPlusTagComputer::floor_virtual_time(Fixed v) {
-    if (v > v_) v_ = v;
-}
-
-Fixed Wf2qPlusTagComputer::on_arrival(FlowId flow, TimeNs now, std::uint32_t size_bits) {
-    WFQS_REQUIRE(flow < flows_.size(), "unknown flow");
-    advance_to(now);
-
-    Flow& f = flows_[flow];
-    const Fixed start = max(v_, f.last_finish);
-    const Fixed finish = start + Fixed::ratio(size_bits, f.weight);
-    f.last_finish = finish;
-    last_start_ = start;
-    return finish;
-}
-
-void Wf2qPlusTagComputer::on_service_start(Fixed tag, TimeNs now) {
-    // The served packet's tag floors the system virtual time (the
-    // "max(V, min S)" update collapsed onto the dispatch event).
-    advance_to(now);
-    floor_virtual_time(tag);
-}
-
 // ----------------------------------------------------------------- SCFQ
 
 FlowId ScfqTagComputer::add_flow(std::uint32_t weight) {
@@ -152,31 +101,6 @@ Fixed TagQuantizer::dequantize(std::uint64_t tag) const {
 double TagQuantizer::tag_step_virtual() const {
     return std::ldexp(1.0, static_cast<int>(shift_)) /
            std::ldexp(1.0, static_cast<int>(Fixed::kFracBits));
-}
-
-// -------------------------------------------------------------- factory
-
-std::unique_ptr<TagComputer> make_tag_computer(FairQueueingKind kind,
-                                               std::uint64_t rate_bps) {
-    switch (kind) {
-        case FairQueueingKind::Wfq:
-            return std::make_unique<WfqTagComputer>(rate_bps);
-        case FairQueueingKind::Wf2qPlus:
-            return std::make_unique<Wf2qPlusTagComputer>(rate_bps);
-        case FairQueueingKind::Scfq:
-            return std::make_unique<ScfqTagComputer>(rate_bps);
-        case FairQueueingKind::Fbfq:
-            return std::make_unique<FbfqTagComputer>(rate_bps);
-    }
-    WFQS_ASSERT_MSG(false, "unknown fair queueing kind");
-    return nullptr;
-}
-
-const std::vector<FairQueueingKind>& all_fair_queueing_kinds() {
-    static const std::vector<FairQueueingKind> kinds = {
-        FairQueueingKind::Wfq, FairQueueingKind::Wf2qPlus,
-        FairQueueingKind::Scfq, FairQueueingKind::Fbfq};
-    return kinds;
 }
 
 }  // namespace wfqs::wfq

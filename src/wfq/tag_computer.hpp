@@ -3,11 +3,9 @@
 // The sorter architecture is algorithm-agnostic (§II: "the tag sorting
 // architecture ... can operate with any of the family of fair queueing
 // algorithms that requires finishing tag timestamps to be sorted"). This
-// module provides three members of that family behind one interface:
+// module provides members of that family behind one interface:
 //
 //   WFQ    — virtual time tracks simulated GPS (Demers/Parekh-Gallager).
-//   WF2Q+  — lower-complexity system virtual time with start-time floor
-//            (Bennett & Zhang [6]); fairer worst-case than WFQ.
 //   SCFQ   — self-clocked: V is the tag of the packet in service
 //            (simplest hardware, looser delay bound).
 //   FBFQ   — frame-based fair queueing (Stidialis & Varma [7]): the
@@ -16,11 +14,12 @@
 //
 // plus the TagQuantizer that maps fixed-point virtual finish times onto
 // the sorter's W-bit tag space (rounding here is what creates the
-// duplicate tag values of §III-C/D).
+// duplicate tag values of §III-C/D). The schedulers reach these through
+// sched_prog's rank policies; WF2Q+ is the two-stage sched_prog::Wf2qRank
+// over the exact GPS clock.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,44 +63,6 @@ public:
 
 private:
     WfqVirtualTime clock_;
-};
-
-/// WF2Q+ (Bennett & Zhang): V(t) advances with served work and is floored
-/// by the minimum start tag of queued head packets; here realised with
-/// the standard simplified update V = max(V + L/Φ_total?, min S). We use
-/// the common implementation V = max(V_prev, min start among backlogged
-/// heads) advanced by served work over the aggregate rate.
-class Wf2qPlusTagComputer final : public TagComputer {
-public:
-    explicit Wf2qPlusTagComputer(std::uint64_t rate_bps);
-
-    FlowId add_flow(std::uint32_t weight) override;
-    Fixed on_arrival(FlowId flow, TimeNs now, std::uint32_t size_bits) override;
-    void on_service_start(Fixed tag, TimeNs now) override;
-    Fixed virtual_time() const override { return v_; }
-    std::string name() const override { return "WF2Q+"; }
-
-    /// Advance the system virtual time to `now` (elapsed-work term).
-    void advance_to(TimeNs now);
-
-    /// Floor the system virtual time (the WF2Q+ "max(·, min start)" rule,
-    /// applied by the eligibility scheduler when it would otherwise idle).
-    void floor_virtual_time(Fixed v);
-
-    /// Virtual start of the most recent arrival (eligibility tests).
-    Fixed last_start() const { return last_start_; }
-
-private:
-    struct Flow {
-        std::uint32_t weight;
-        Fixed last_finish;
-    };
-    std::uint64_t rate_;
-    std::uint64_t total_weight_ = 0;
-    Fixed v_;
-    Fixed last_start_;
-    TimeNs last_event_ = 0;
-    std::vector<Flow> flows_;
 };
 
 /// SCFQ (self-clocked fair queueing): the virtual time is simply the
@@ -182,11 +143,5 @@ public:
 private:
     unsigned shift_;  ///< kFracBits - granularity
 };
-
-/// Factory over the three algorithms, for parameterized experiments.
-enum class FairQueueingKind { Wfq, Wf2qPlus, Scfq, Fbfq };
-std::unique_ptr<TagComputer> make_tag_computer(FairQueueingKind kind,
-                                               std::uint64_t rate_bps);
-const std::vector<FairQueueingKind>& all_fair_queueing_kinds();
 
 }  // namespace wfqs::wfq

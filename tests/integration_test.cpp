@@ -16,22 +16,27 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 namespace wfqs {
 namespace {
 
 constexpr net::TimeNs kSecond = 1'000'000'000;
 
-scheduler::FairQueueingScheduler::Config wfq_config(std::uint64_t rate) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
+/// The Fig. 1 scheduler: `policy` tags over `kind` sort structures.
+sched_prog::PifoScheduler make_fq(
+    std::uint64_t rate, baselines::QueueKind kind,
+    sched_prog::RankPolicy policy = sched_prog::RankPolicy::kWfq) {
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.policy = policy;
+    cfg.rank.link_rate_bps = rate;
     // One tag step = 64 virtual-time units: coarse enough that a 20-bit
     // tag window covers the deepest buffer backlog (see TagQuantizer).
-    cfg.tag_granularity_bits = -6;
-    return cfg;
+    cfg.rank.tag_granularity_bits = -6;
+    return sched_prog::PifoScheduler(
+        cfg, [kind] { return baselines::make_tag_queue(kind, {20, 1 << 16}); });
 }
 
 TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
@@ -39,9 +44,7 @@ TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
     // for a heap must not change a single departure.
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate),
-            baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(rate, kind);
         auto flows = net::make_mixed_profile(kSecond, 99);
         net::SimDriver driver(rate);
         return driver.run(sched, flows);
@@ -61,8 +64,7 @@ TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
 TEST(Integration, BinaryTreeSorterAlsoMatches) {
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate), baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(rate, kind);
         auto flows = net::make_voip_heavy_profile(kSecond / 2, 7);
         net::SimDriver driver(rate);
         return driver.run(sched, flows);
@@ -76,9 +78,7 @@ TEST(Integration, BinaryTreeSorterAlsoMatches) {
 
 TEST(Integration, WfqRespectsGpsDelayBound) {
     const std::uint64_t rate = 20'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate),
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    auto sched = make_fq(rate, baselines::QueueKind::MultibitTree);
     auto flows = net::make_mixed_profile(kSecond, 5);
     std::vector<std::uint32_t> weights;
     for (const auto& f : flows) weights.push_back(f.weight);
@@ -110,9 +110,7 @@ TEST(Integration, FifoViolatesGpsBoundUnderCrossTraffic) {
 
 TEST(Integration, WfqSharesTrackWeightsUnderOverload) {
     const std::uint64_t rate = 10'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate),
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    auto sched = make_fq(rate, baselines::QueueKind::MultibitTree);
     std::vector<net::FlowSpec> flows;
     for (std::uint32_t w : {1u, 2u, 4u, 8u})
         flows.push_back(
@@ -133,8 +131,7 @@ TEST(Integration, BinningDegradesVoipDelay) {
     // under binning is measurably worse than under the exact sorter.
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate), baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(rate, kind);
         auto flows = net::make_voip_heavy_profile(kSecond / 2, 21);
         net::SimDriver driver(rate);
         const auto result = driver.run(sched, flows);
@@ -151,8 +148,7 @@ TEST(Integration, BinningDegradesVoipDelay) {
 
 TEST(Integration, ThroughputReportSaturatesLink) {
     const std::uint64_t rate = 10'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate), baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto sched = make_fq(rate, baselines::QueueKind::Heap);
     std::vector<net::FlowSpec> flows;
     flows.push_back(
         {std::make_unique<net::CbrSource>(20'000'000, 1000, 0, kSecond / 4), 1});
@@ -164,13 +160,12 @@ TEST(Integration, ThroughputReportSaturatesLink) {
 }
 
 TEST(Integration, AllFairQueueingVariantsRunTheSorter) {
-    // WFQ, WF2Q+, SCFQ all feed the same sort/retrieve circuit (§II).
-    for (const auto kind : wfq::all_fair_queueing_kinds()) {
-        scheduler::FairQueueingScheduler::Config cfg = wfq_config(20'000'000);
-        cfg.algorithm = kind;
-        scheduler::FairQueueingScheduler sched(
-            cfg,
-            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    // WFQ, WF2Q+, SCFQ and FBFQ all feed the same sort/retrieve circuit
+    // (§II).
+    using sched_prog::RankPolicy;
+    for (const auto policy :
+         {RankPolicy::kWfq, RankPolicy::kWf2q, RankPolicy::kScfq, RankPolicy::kFbfq}) {
+        auto sched = make_fq(20'000'000, baselines::QueueKind::MultibitTree, policy);
         auto flows = net::make_mixed_profile(kSecond / 4, 3);
         net::SimDriver driver(20'000'000);
         const auto result = driver.run(sched, flows);

@@ -1,10 +1,17 @@
 // Tests for the network substrate: traffic generator statistics, packet
-// helpers, and the simulation driver's event mechanics.
+// helpers, and the simulation driver's event mechanics (including its
+// in-run recovery from sorter faults).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
+#include "baselines/factory.hpp"
+#include "fault/errors.hpp"
 #include "net/packet.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 
 namespace wfqs::net {
@@ -220,6 +227,79 @@ TEST(SimDriver, CountsDropsWhenBufferTiny) {
     const auto result = driver.run(fifo, flows);
     EXPECT_GT(result.dropped_packets, 0u);
     EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+}
+
+// ------------------------------------------------- sorter fault recovery
+
+/// When the queues a scheduler builds fault: the Nth insert and the Nth
+/// pop_min across all of them (0 = never).
+struct FaultPlan {
+    std::uint64_t insert_fault_at = 0;
+    std::uint64_t pop_fault_at = 0;
+};
+
+/// A binary heap that throws fault::FaultError, before changing anything,
+/// on the ops its shared plan names; recover() always succeeds.
+class FaultyQueue final : public baselines::TagQueue {
+public:
+    explicit FaultyQueue(FaultPlan& plan)
+        : plan_(plan), inner_(baselines::make_tag_queue(baselines::QueueKind::Heap)) {}
+
+    void insert(std::uint64_t tag, std::uint32_t payload) override {
+        if (plan_.insert_fault_at != 0 && --plan_.insert_fault_at == 0)
+            throw fault::FaultError("injected insert fault");
+        inner_->insert(tag, payload);
+    }
+    std::optional<baselines::QueueEntry> pop_min() override {
+        if (plan_.pop_fault_at != 0 && --plan_.pop_fault_at == 0)
+            throw fault::FaultError("injected pop fault");
+        return inner_->pop_min();
+    }
+    std::optional<baselines::QueueEntry> peek_min() override { return inner_->peek_min(); }
+    std::size_t size() const override { return inner_->size(); }
+    std::string name() const override { return "faulty " + inner_->name(); }
+    std::string model() const override { return inner_->model(); }
+    std::string complexity() const override { return inner_->complexity(); }
+    bool recover() override { return true; }
+
+private:
+    FaultPlan& plan_;
+    std::unique_ptr<baselines::TagQueue> inner_;
+};
+
+TEST(SimDriver, SorterFaultsRecoverWithoutChangingTheSchedule) {
+    // One insert fault and one pop fault per run, at several points of the
+    // op stream (for WF2Q+ they land on either sorter, inside enqueue or
+    // dequeue, mid-promotion included). SimDriver recovers and retries;
+    // the schedule must equal the fault-free run's, and no buffer cell
+    // may leak.
+    constexpr std::uint64_t kRate = 20'000'000;
+    for (const auto policy : {sched_prog::RankPolicy::kWfq, sched_prog::RankPolicy::kWf2q}) {
+        const auto run = [&](FaultPlan plan) {
+            sched_prog::PifoScheduler::Config cfg;
+            cfg.policy = policy;
+            cfg.rank.link_rate_bps = kRate;
+            sched_prog::PifoScheduler sched(
+                cfg, [&plan] { return std::make_unique<FaultyQueue>(plan); });
+            auto flows = make_mixed_profile(kSecond / 4, 11);
+            SimDriver driver(kRate);
+            SimResult result = driver.run(sched, flows);
+            EXPECT_EQ(sched.buffer().used_cells(), 0u) << sched.name();
+            return result;
+        };
+        const SimResult clean = run({});
+        ASSERT_GT(clean.records.size(), 100u);
+        EXPECT_EQ(clean.sorter_faults, 0u);
+        for (const std::uint64_t at : {1u, 2u, 3u, 40u, 41u, 300u}) {
+            SCOPED_TRACE(sched_prog::rank_policy_name(policy) + " fault at op " +
+                         std::to_string(at));
+            const SimResult faulted = run({at, at});
+            EXPECT_EQ(faulted.sorter_faults, 2u);
+            EXPECT_EQ(faulted.offered_packets, clean.offered_packets);
+            EXPECT_EQ(faulted.dropped_packets, clean.dropped_packets);
+            EXPECT_TRUE(faulted.records == clean.records);
+        }
+    }
 }
 
 }  // namespace

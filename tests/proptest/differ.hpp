@@ -15,7 +15,8 @@
 //   * diff_matcher     — gate-level netlists and the behavioural model vs
 //     ref_match over exhaustive small words, structured edge words, and
 //     random words.
-//   * diff_scheduler_vs_gps — a full scheduler run vs the GPS fluid
+//   * diff_pifo_vs_gps — a full fair-queueing scheduler run
+//     (PifoScheduler with the WFQ or WF2Q+ rank policy) vs the GPS fluid
 //     departure bound (ref::RefGpsScheduler).
 //
 // Tag deltas are interpreted relative to the *reference* minimum (or the
@@ -51,8 +52,6 @@
 #include "sched_prog/pifo_scheduler.hpp"
 #include "sched_prog/rifo.hpp"
 #include "sched_prog/sp_pifo.hpp"
-#include "scheduler/wf2q_scheduler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 namespace wfqs::proptest {
 
@@ -1351,8 +1350,9 @@ inline std::vector<PolicyDiffConfig> standard_policy_configs() {
     }
     // Approximations: single-stage policies only (WF2Q+ needs the exact
     // two-sorter arrangement), across queue counts / capacities.
+    // SCFQ and FBFQ ride along to exercise the served-rank hook.
     for (const unsigned q : {2u, 8u}) {
-        for (const Policy policy : {Policy::kWfq, Policy::kSrpt}) {
+        for (const Policy policy : {Policy::kWfq, Policy::kSrpt, Policy::kScfq}) {
             PolicyDiffConfig c;
             c.name = "sp-pifo-" + sched_prog::rank_policy_name(policy) + "-" +
                      std::to_string(q) + "q";
@@ -1363,7 +1363,7 @@ inline std::vector<PolicyDiffConfig> standard_policy_configs() {
         }
     }
     for (const std::size_t cap : {std::size_t{16}, std::size_t{48}}) {
-        for (const Policy policy : {Policy::kWfq, Policy::kLstf}) {
+        for (const Policy policy : {Policy::kWfq, Policy::kLstf, Policy::kFbfq}) {
             PolicyDiffConfig c;
             c.name = "rifo-" + sched_prog::rank_policy_name(policy) + "-" +
                      std::to_string(cap);
@@ -1379,7 +1379,6 @@ inline std::vector<PolicyDiffConfig> standard_policy_configs() {
 // ---------------------------------------------- scheduler vs GPS fluid
 
 struct SchedulerDiffConfig {
-    enum class Kind { kWfq, kWf2q } kind = Kind::kWfq;
     baselines::QueueKind queue = baselines::QueueKind::Heap;
     std::uint64_t link_rate_bps = 100'000'000;
     /// Positive = fractional virtual-time bits kept (tight bound); the
@@ -1425,54 +1424,10 @@ inline std::vector<net::FlowSpec> make_diff_flows(const SchedulerDiffConfig& cfg
     return flows;
 }
 
-/// Run a full scheduler simulation and check every served packet against
-/// the Parekh–Gallager departure bound D_p <= F_gps + Lmax/r (+ slack).
-inline std::optional<std::string> diff_scheduler_vs_gps(
-    const SchedulerDiffConfig& cfg) {
-    baselines::QueueParams params;
-    params.range_bits = cfg.range_bits;
-    params.capacity = cfg.queue_capacity;
-
-    std::unique_ptr<scheduler::Scheduler> sched;
-    if (cfg.kind == SchedulerDiffConfig::Kind::kWfq) {
-        scheduler::FairQueueingScheduler::Config sc;
-        sc.link_rate_bps = cfg.link_rate_bps;
-        sc.algorithm = wfq::FairQueueingKind::Wfq;
-        sc.tag_granularity_bits = cfg.tag_granularity_bits;
-        sched = std::make_unique<scheduler::FairQueueingScheduler>(
-            sc, baselines::make_tag_queue(cfg.queue, params));
-    } else {
-        scheduler::Wf2qScheduler::Config sc;
-        sc.link_rate_bps = cfg.link_rate_bps;
-        sc.tag_granularity_bits = cfg.tag_granularity_bits;
-        sched = std::make_unique<scheduler::Wf2qScheduler>(
-            sc, baselines::make_tag_queue(cfg.queue, params),
-            baselines::make_tag_queue(cfg.queue, params));
-    }
-
-    std::vector<double> weights;
-    auto flows = make_diff_flows(cfg, weights);
-    net::SimDriver driver(cfg.link_rate_bps);
-    const net::SimResult result = driver.run(*sched, flows);
-    if (result.dropped_packets != 0)
-        return "workload dropped " + std::to_string(result.dropped_packets) +
-               " packet(s); the departure bound only covers served packets "
-               "— enlarge the buffer or lower the load";
-    if (result.records.empty()) return "workload produced no packets";
-
-    ref::RefGpsScheduler gps(cfg.link_rate_bps, weights);
-    const auto violations = gps.check_departure_bound(result, cfg.slack_s);
-    if (!violations.empty())
-        return sched->name() + " broke the GPS departure bound: " +
-               ref::RefGpsScheduler::describe(violations);
-    return std::nullopt;
-}
-
-/// The same Parekh–Gallager check for the rank-function path: a
-/// PifoScheduler running the WFQ or WF2Q+ rank policy over an exact
-/// PIFO is a fair-queueing scheduler and owes the identical departure
-/// bound D_p <= F_gps + Lmax/r. Nothing in the generic PIFO machinery
-/// may weaken the guarantee the dedicated schedulers earn.
+/// Run a full scheduler simulation — PifoScheduler with the WFQ or
+/// WF2Q+ rank policy over `cfg.queue` — and check every served packet
+/// against the Parekh–Gallager departure bound D_p <= F_gps + Lmax/r
+/// (+ slack).
 inline std::optional<std::string> diff_pifo_vs_gps(
     sched_prog::RankPolicy policy, const SchedulerDiffConfig& cfg) {
     sched_prog::PifoScheduler::Config pc;
@@ -1492,7 +1447,8 @@ inline std::optional<std::string> diff_pifo_vs_gps(
     const net::SimResult result = driver.run(sched, flows);
     if (result.dropped_packets != 0)
         return "workload dropped " + std::to_string(result.dropped_packets) +
-               " packet(s); the departure bound only covers served packets";
+               " packet(s); the departure bound only covers served packets "
+               "— enlarge the buffer or lower the load";
     if (result.records.empty()) return "workload produced no packets";
 
     ref::RefGpsScheduler gps(cfg.link_rate_bps, weights);

@@ -1,15 +1,16 @@
 // Tests for the scheduler module: the shared packet buffer, the WRR/DRR/
 // MDRR/SRR family's bandwidth shares, FIFO, and the fair-queueing
-// scheduler's structural behaviour.
+// scheduler's structural behaviour (sched_prog::PifoScheduler with the
+// WFQ-family rank policies).
 #include <gtest/gtest.h>
 
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/packet_buffer.hpp"
 #include "scheduler/round_robin.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 namespace wfqs::scheduler {
 namespace {
@@ -184,18 +185,29 @@ TEST(Fifo, ServesInArrivalOrder) {
 
 // --------------------------------------------------- WFQ scheduler
 
+/// The fair-queueing scheduler at the -4 tag granularity these tests
+/// were sized for.
+sched_prog::PifoScheduler make_fq(sched_prog::RankPolicy policy,
+                                  baselines::QueueKind kind,
+                                  SharedPacketBuffer::Config buffer = {}) {
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.policy = policy;
+    cfg.rank.link_rate_bps = 10'000'000;
+    cfg.rank.tag_granularity_bits = -4;
+    cfg.buffer = buffer;
+    return sched_prog::PifoScheduler(cfg,
+                                     [kind] { return baselines::make_tag_queue(kind); });
+}
+
 TEST(FairQueueing, SharesFollowWeightsWithVariableSizes) {
-    FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = 10'000'000;
-    FairQueueingScheduler wfq(cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto wfq = make_fq(sched_prog::RankPolicy::kWfq, baselines::QueueKind::Heap);
     const auto s = measure_shares(wfq, 3, 1, 1000, 250);
     EXPECT_NEAR(static_cast<double>(s.bytes0) / s.bytes1, 3.0, 0.3);
 }
 
 TEST(FairQueueing, DropsWhenBufferFull) {
-    FairQueueingScheduler::Config cfg;
-    cfg.buffer = {1024, 64};
-    FairQueueingScheduler wfq(cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto wfq = make_fq(sched_prog::RankPolicy::kWfq, baselines::QueueKind::Heap,
+                       {1024, 64});
     wfq.add_flow(1);
     net::TimeNs t = 0;
     std::uint64_t accepted = 0;
@@ -206,11 +218,8 @@ TEST(FairQueueing, DropsWhenBufferFull) {
 }
 
 TEST(FairQueueing, NameReflectsAlgorithmAndQueue) {
-    FairQueueingScheduler::Config cfg;
-    cfg.algorithm = wfq::FairQueueingKind::Scfq;
-    FairQueueingScheduler s(cfg,
-                            baselines::make_tag_queue(baselines::QueueKind::Skiplist));
-    EXPECT_EQ(s.name(), "SCFQ+skip list");
+    const auto s = make_fq(sched_prog::RankPolicy::kScfq, baselines::QueueKind::Skiplist);
+    EXPECT_EQ(s.name(), "PIFO-scfq(skip list)");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -20,7 +21,7 @@
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
 #include "proptest/proptest.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 namespace wfqs {
 namespace {
@@ -300,7 +301,13 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
     // non-atomic sharing here is a CI failure.
     obs::HostProfiler prof(64, std::chrono::milliseconds(1));
     std::atomic<std::uint64_t> extra{0};
-    prof.add_counter("test.extra", [&] { return extra.load(); });
+    // Probe reads: one at registration, then one per window the sampler
+    // cuts.
+    std::atomic<std::uint64_t> reads{0};
+    prof.add_counter("test.extra", [&] {
+        reads.fetch_add(1);
+        return extra.load();
+    });
     prof.start_sampling();
     std::vector<std::thread> writers;
     for (int w = 0; w < 2; ++w) {
@@ -316,6 +323,11 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
         });
     }
     for (auto& t : writers) t.join();
+    // On a loaded machine the writers can finish before the sampler's
+    // first 1 ms tick; wait (bounded) for one window before stopping.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (reads.load() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     prof.stop_sampling();
     EXPECT_EQ(prof.stage(obs::HostProfiler::Stage::kGen).items(), 40000u);
     EXPECT_GT(prof.series().window_count(), 0u);
@@ -324,13 +336,13 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
 // ---------------------------------------------------------------------------
 // Driver integration: per-stage attribution
 
-scheduler::FairQueueingScheduler make_wfq(std::uint64_t rate) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -6;
-    return scheduler::FairQueueingScheduler(
-        cfg,
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+sched_prog::PifoScheduler make_wfq(std::uint64_t rate) {
+    sched_prog::PifoScheduler::Config cfg;  // WFQ at -6 tag granularity
+    cfg.rank.link_rate_bps = rate;
+    return sched_prog::PifoScheduler(cfg, [] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                         {20, 1 << 16});
+    });
 }
 
 TEST(DriverTelemetry, ProfiledRunFeedsProfilerAndStaysIdentical) {

@@ -1,7 +1,7 @@
-// Tests for the two-sorter WF2Q eligibility scheduler: basic mechanics,
-// eligibility gating, and the worst-case-fairness property that
-// motivates WF2Q over WFQ (a high-weight flow cannot run arbitrarily
-// ahead of its GPS schedule).
+// Tests for two-sorter WF2Q eligibility scheduling (PifoScheduler with
+// the two-stage kWf2q rank policy): basic mechanics, eligibility gating,
+// and the worst-case-fairness property that motivates WF2Q over WFQ (a
+// high-weight flow cannot run arbitrarily ahead of its GPS schedule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,22 +11,27 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
-#include "scheduler/wf2q_scheduler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "wfq/gps_fluid.hpp"
 
-namespace wfqs::scheduler {
+namespace wfqs::sched_prog {
 namespace {
 
 constexpr net::TimeNs kSecond = 1'000'000'000;
 
-Wf2qScheduler make_wf2q(std::uint64_t rate,
+PifoScheduler make_fq(std::uint64_t rate, RankPolicy policy,
+                      baselines::QueueKind kind = baselines::QueueKind::Heap) {
+    PifoScheduler::Config cfg;
+    cfg.policy = policy;
+    cfg.rank.link_rate_bps = rate;
+    cfg.rank.tag_granularity_bits = -4;
+    return PifoScheduler(cfg,
+                         [kind] { return baselines::make_tag_queue(kind, {20, 1 << 16}); });
+}
+
+PifoScheduler make_wf2q(std::uint64_t rate,
                         baselines::QueueKind kind = baselines::QueueKind::Heap) {
-    Wf2qScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -4;
-    return Wf2qScheduler(cfg, baselines::make_tag_queue(kind, {20, 1 << 16}),
-                         baselines::make_tag_queue(kind, {20, 1 << 16}));
+    return make_fq(rate, RankPolicy::kWf2q, kind);
 }
 
 TEST(Wf2q, ServesSinglePacket) {
@@ -68,12 +73,12 @@ TEST(Wf2q, EligibilityHoldsBackFuturePackets) {
 }
 
 TEST(Wf2q, DropsWhenBufferFull) {
-    Wf2qScheduler::Config cfg;
-    cfg.link_rate_bps = 1'000'000;
+    PifoScheduler::Config cfg;
+    cfg.policy = RankPolicy::kWf2q;
+    cfg.rank.link_rate_bps = 1'000'000;
     cfg.buffer = {1024, 64};
-    Wf2qScheduler sched(cfg,
-                        baselines::make_tag_queue(baselines::QueueKind::Heap),
-                        baselines::make_tag_queue(baselines::QueueKind::Heap));
+    PifoScheduler sched(cfg,
+                        [] { return baselines::make_tag_queue(baselines::QueueKind::Heap); });
     sched.add_flow(1);
     std::uint64_t accepted = 0;
     for (int i = 0; i < 100; ++i)
@@ -83,6 +88,8 @@ TEST(Wf2q, DropsWhenBufferFull) {
 }
 
 TEST(Wf2q, SlotRecyclingSurvivesLongRuns) {
+    // Buffer refs, which key the per-packet service ranks, recycle
+    // thousands of times.
     auto sched = make_wf2q(10'000'000);
     const auto a = sched.add_flow(1);
     const auto b = sched.add_flow(3);
@@ -118,7 +125,7 @@ TEST(Wf2q, BoundsServiceLeadUnlikeWfq) {
         return flows;
     };
 
-    auto heavy_lead_s = [&](Scheduler& sched) {
+    auto heavy_lead_s = [&](scheduler::Scheduler& sched) {
         auto flows = build_flows();
         net::SimDriver driver(rate);
         const auto result = driver.run(sched, flows);
@@ -154,11 +161,7 @@ TEST(Wf2q, BoundsServiceLeadUnlikeWfq) {
         return worst_lead;
     };
 
-    scheduler::FairQueueingScheduler::Config wfq_cfg;
-    wfq_cfg.link_rate_bps = rate;
-    wfq_cfg.tag_granularity_bits = -4;
-    scheduler::FairQueueingScheduler wfq(
-        wfq_cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto wfq = make_fq(rate, RankPolicy::kWfq);
     auto wf2q = make_wf2q(rate);
 
     const double wfq_lead = heavy_lead_s(wfq);
@@ -186,4 +189,4 @@ TEST(Wf2q, RunsOnTheMultibitTreeSorters) {
 }
 
 }  // namespace
-}  // namespace wfqs::scheduler
+}  // namespace wfqs::sched_prog

@@ -1,10 +1,13 @@
 // Tests for the fair-queueing substrate: GPS fluid reference, the
-// fixed-point WFQ virtual clock (incl. paper eq. (1)), the WF2Q+/SCFQ
+// fixed-point WFQ virtual clock (incl. paper eq. (1)), the SCFQ/FBFQ
 // variants, and the tag quantizer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "wfq/gps_fluid.hpp"
@@ -312,13 +315,22 @@ TEST(WfqVirtualTime, LockstepWithStaleDiscardReference) {
 
 // ----------------------------------------------------------- tag family
 
+/// One of each TagComputer, with the per-computer seed the monotonicity
+/// sweep uses.
+std::vector<std::pair<std::uint64_t, std::unique_ptr<TagComputer>>> tag_computers() {
+    std::vector<std::pair<std::uint64_t, std::unique_ptr<TagComputer>>> v;
+    v.emplace_back(1, std::make_unique<WfqTagComputer>(1'000'000));
+    v.emplace_back(3, std::make_unique<ScfqTagComputer>(1'000'000));
+    v.emplace_back(4, std::make_unique<FbfqTagComputer>(1'000'000));
+    return v;
+}
+
 TEST(TagComputers, AllProduceMonotoneTagsPerFlow) {
-    for (const auto kind : all_fair_queueing_kinds()) {
-        auto tc = make_tag_computer(kind, 1'000'000);
+    for (auto& [seed, tc] : tag_computers()) {
         const FlowId f = tc->add_flow(3);
         Fixed prev;
         TimeNs t = 0;
-        Rng rng(static_cast<std::uint64_t>(kind) + 1);
+        Rng rng(seed);
         for (int i = 0; i < 200; ++i) {
             t += rng.next_below(100'000);
             const Fixed tag = tc->on_arrival(f, t, 8000);
@@ -329,8 +341,7 @@ TEST(TagComputers, AllProduceMonotoneTagsPerFlow) {
 }
 
 TEST(TagComputers, WeightScalesServiceInterval) {
-    for (const auto kind : all_fair_queueing_kinds()) {
-        auto tc = make_tag_computer(kind, 1'000'000);
+    for (auto& [seed, tc] : tag_computers()) {
         const FlowId light = tc->add_flow(1);
         const FlowId heavy = tc->add_flow(10);
         // Back-to-back packets on each flow at t=0: the finish-tag spacing
@@ -354,20 +365,6 @@ TEST(Scfq, VirtualTimeFollowsServiceTag) {
     const FlowId g = scfq.add_flow(1);
     const Fixed t2 = scfq.on_arrival(g, 20, 1000);
     EXPECT_EQ(t2, t1 + Fixed::from_int(1000));
-}
-
-TEST(Wf2qPlus, StartFloorAdvancesVirtualTime) {
-    Wf2qPlusTagComputer wf(1'000'000);
-    const FlowId f = wf.add_flow(1);
-    wf.on_arrival(f, 0, 1000);
-    const Fixed big = Fixed::from_int(5000);
-    wf.on_service_start(big, 100);
-    EXPECT_EQ(wf.virtual_time(), big);
-    // Lower tags do not move V backwards (only the elapsed-work term
-    // advances it a hair between the two service events).
-    wf.on_service_start(Fixed::from_int(10), 200);
-    EXPECT_GE(wf.virtual_time(), big);
-    EXPECT_LT(wf.virtual_time(), big + Fixed::from_int(1));
 }
 
 TEST(Fbfq, VirtualTimeAdvancesInFrames) {

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -344,20 +345,25 @@ bool fuzz_matcher(const Options& opt, std::uint64_t round) {
 }
 
 bool fuzz_scheduler(const Options& opt, std::uint64_t round) {
-    std::vector<SchedulerDiffConfig> configs(3);
-    configs[0].kind = SchedulerDiffConfig::Kind::kWfq;
-    configs[1].kind = SchedulerDiffConfig::Kind::kWf2q;
-    configs[2].kind = SchedulerDiffConfig::Kind::kWfq;
-    configs[2].queue = baselines::QueueKind::MultibitTree;
-    configs[2].range_bits = 28;
-    const char* names[] = {"wfq-heap", "wf2q-heap", "wfq-multibit"};
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        configs[i].seed = case_seed(opt.seed + i, round);
-        if (auto err = diff_scheduler_vs_gps(configs[i])) {
+    using sched_prog::RankPolicy;
+    struct Case {
+        const char* name;
+        RankPolicy policy;
+        baselines::QueueKind queue;
+    };
+    const Case cases[] = {
+        {"wfq-heap", RankPolicy::kWfq, baselines::QueueKind::Heap},
+        {"wf2q-heap", RankPolicy::kWf2q, baselines::QueueKind::Heap},
+        {"wfq-multibit", RankPolicy::kWfq, baselines::QueueKind::MultibitTree},
+    };
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+        SchedulerDiffConfig cfg;
+        cfg.queue = cases[i].queue;
+        cfg.seed = case_seed(opt.seed + i, round);
+        if (auto err = diff_pifo_vs_gps(cases[i].policy, cfg)) {
             const std::lock_guard<std::mutex> lock(g_print_mutex);
-            std::printf("FAIL scheduler-%s (seed %llu): %s\n", names[i],
-                        static_cast<unsigned long long>(configs[i].seed),
-                        err->c_str());
+            std::printf("FAIL scheduler-%s (seed %llu): %s\n", cases[i].name,
+                        static_cast<unsigned long long>(cfg.seed), err->c_str());
             return false;
         }
         g_total_ops += 1000;  // rough: packets per run
