@@ -94,20 +94,11 @@ std::uint64_t run_tiered_resident_phase(obs::BenchReporter& reporter) {
     TagSorter sorter(cfg, sim);
     Rng rng(reporter.seed(67));
 
-    // Fill: distinct tags spread across ~1/4 of the window, batched.
-    constexpr std::size_t kBatch = 4096;
-    std::vector<SortedTag> batch(kBatch);
+    // Fill: distinct tags spread across ~1/4 of the window.
     std::uint64_t cursor = 0;
-    std::uint64_t filled = 0;
-    while (filled < kResident) {
-        const std::size_t n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(kBatch, kResident - filled));
-        for (std::size_t i = 0; i < n; ++i) {
-            cursor += 1 + rng.next_below(800);
-            batch[i] = {cursor, static_cast<std::uint32_t>(i)};
-        }
-        sorter.insert_batch(batch.data(), n);
-        filled += n;
+    for (std::uint64_t i = 0; i < kResident; ++i) {
+        cursor += 1 + rng.next_below(800);
+        sorter.insert(cursor, 0);
     }
     // Churn: combined ops keep the resident set at kResident. Half chase
     // the head (hot-tier hits), half scatter across the million-value

@@ -43,14 +43,15 @@ baselines::QueueParams host_queue_params(baselines::SorterBackend backend) {
 
 // --- host-throughput phase (both backends, every run) -------------------
 //
-// The same steady-state stream — batched inserts chasing the head, batched
-// pops holding occupancy — through the TagQueue contract on each backend.
+// The same steady-state stream — rounds of 256 inserts chasing the head,
+// each followed by 256 pops holding occupancy — through the scalar
+// TagQueue ops the schedulers call, on each backend.
 // The ratio is the machine-independent number (both halves run on the same
 // box in the same process); perf_smoke gates host.ffs.speedup_vs_model so
 // the committed artifact certifies the ffs backend's 10x claim without
 // trusting anyone's absolute ops/s.
 std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
-    constexpr std::size_t kBatch = 256;
+    constexpr std::size_t kRound = 256;
     constexpr std::size_t kWarm = 8192;     // steady-state occupancy
     constexpr std::uint64_t kOps = 1 << 21; // insert+pop pairs count as 2
     const std::uint64_t seed = reporter.seed(7);
@@ -60,25 +61,21 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
         auto queue = baselines::make_tag_queue(
             baselines::QueueKind::MultibitTree, host_queue_params(backend));
         Rng rng(seed);
-        baselines::QueueEntry buf[kBatch];
         std::uint64_t cursor = 0;
-        const auto fill = [&](std::size_t n) {
-            for (std::size_t i = 0; i < n; ++i) {
+        const auto insert_round = [&] {
+            for (std::size_t i = 0; i < kRound; ++i) {
                 cursor += rng.next_below(60);
-                buf[i] = {cursor, static_cast<std::uint32_t>(i)};
+                queue->insert(cursor, static_cast<std::uint32_t>(i));
             }
         };
-        for (std::size_t warmed = 0; warmed < kWarm; warmed += kBatch) {
-            fill(kBatch);
-            queue->insert_batch(buf, kBatch);
-        }
+        for (std::size_t warmed = 0; warmed < kWarm; warmed += kRound) insert_round();
         const auto t0 = std::chrono::steady_clock::now();
         std::uint64_t done = 0;
         while (done < kOps) {
-            fill(kBatch);
-            queue->insert_batch(buf, kBatch);
-            const std::size_t got = queue->pop_batch(buf, kBatch);
-            done += kBatch + got;
+            insert_round();
+            std::size_t got = 0;
+            while (got < kRound && queue->pop_min()) ++got;
+            done += kRound + got;
         }
         const double sec =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -89,8 +86,8 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
     const double model_ops = run_backend(baselines::SorterBackend::kModel);
     const double ffs_ops = run_backend(baselines::SorterBackend::kFfs);
     const double speedup = model_ops > 0 ? ffs_ops / model_ops : 0.0;
-    std::printf("host sorter throughput (steady state, %zu-entry batches):\n",
-                kBatch);
+    std::printf("host sorter throughput (steady state, %zu-entry rounds):\n",
+                kRound);
     std::printf("  model backend        : %.0f ops/s\n", model_ops);
     std::printf("  ffs backend          : %.0f ops/s (%.1fx)\n\n", ffs_ops,
                 speedup);

@@ -31,6 +31,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/sharded_sorter.hpp"
+#include "core/sorter_contract.hpp"
 #include "core/synthesis_model.hpp"
 #include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
@@ -59,18 +60,11 @@ ShardedSorter::Config sharded_config(unsigned banks) {
 /// (separate single-bank engagements — the sustained pattern where the
 /// input and output ports run independently). Identical tag stream for
 /// every bank count: the generator never looks at the structure.
-template <typename Sorter>
+template <SorterContract Sorter>
 void drive(Sorter& s, std::uint64_t seed) {
     Rng rng(seed);
     std::uint64_t tag = 0;
-    // Batched prefill: one dispatch for the whole warm-up backlog. The
-    // batch entry points preserve per-op cycle accounting exactly, so
-    // the modeled gauges below are unchanged from the scalar loop.
-    std::vector<core::SortedTag> prefill;
-    prefill.reserve(kPrefill);
-    for (int i = 0; i < kPrefill; ++i)
-        prefill.push_back({tag += rng.next_below(6), 0});
-    s.insert_batch(prefill.data(), prefill.size());
+    for (int i = 0; i < kPrefill; ++i) s.insert(tag += rng.next_below(6), 0);
     for (int i = 0; i < kPairs; ++i) {
         tag += rng.next_below(6);
         s.insert(tag, 0);
@@ -122,13 +116,11 @@ bool check_n1_identity(std::uint64_t seed) {
 }
 
 /// End-to-end wiring: a 4-bank sorter behind the full WFQ scheduler and
-/// SimDriver, switched on by the factory's num_banks knob alone. Returns
-/// the delivered packet count.
-std::uint64_t run_scheduler_demo(baselines::SorterBackend backend,
-                                 obs::MetricsRegistry& reg) {
+/// SimDriver, switched on by the factory's num_banks knob alone. Banks
+/// exist only on the model backend. Returns the delivered packet count.
+std::uint64_t run_scheduler_demo(obs::MetricsRegistry& reg) {
     baselines::QueueParams params;
     params.num_banks = 4;
-    params.backend = backend;
     sched_prog::PifoScheduler::Config cfg;
     cfg.rank.link_rate_bps = 20'000'000;
     cfg.rank.tag_granularity_bits = -4;
@@ -150,9 +142,7 @@ std::uint64_t run_scheduler_demo(baselines::SorterBackend backend,
 
 int main(int argc, char** argv) {
     obs::BenchReporter reporter("shard_scaling", argc, argv);
-    const std::string backend_name = obs::bench_backend(argc, argv);
-    const auto backend = *baselines::backend_from_name(backend_name);
-    reporter.record_backend(backend_name);
+    reporter.record_backend("model");
     auto& reg = reporter.registry();
     std::printf("== S1: sharded multi-bank scaling (overlapped pipelines) ==\n\n");
 
@@ -218,12 +208,12 @@ int main(int argc, char** argv) {
                 identical ? "IDENTICAL" : "DIVERGED");
 
     // --- full-stack wiring demo -----------------------------------------
-    const std::uint64_t delivered = run_scheduler_demo(backend, reg);
+    const std::uint64_t delivered = run_scheduler_demo(reg);
     reg.gauge("shard_scaling.scheduler_demo_packets")
         .set(static_cast<double>(delivered));
-    std::printf("WFQ scheduler + SimDriver over a 4-bank sorter [%s]: %llu "
+    std::printf("WFQ scheduler + SimDriver over a 4-bank sorter [model]: %llu "
                 "packets delivered\n",
-                backend_name.c_str(), static_cast<unsigned long long>(delivered));
+                static_cast<unsigned long long>(delivered));
 
     reporter.record_host_ops(host_ops_total);
     reporter.finish();

@@ -41,11 +41,12 @@ const std::vector<SorterBackend>& all_sorter_backends();
 struct QueueParams {
     unsigned range_bits = 12;     ///< tag universe for bounded structures
     std::size_t capacity = 8192;  ///< slot budget for the sorter variants
-    /// Sorter banks (power of two). The slot budget is split across
-    /// banks rounding up (ceil(capacity / num_banks) per bank), so the
-    /// aggregate capacity never drops below the request; 1 (the default)
-    /// is bit- and cycle-identical to the unsharded circuit. Ignored by
-    /// the software baselines.
+    /// Sorter banks (power of two), model backend only: kFfs with more
+    /// than one bank throws std::invalid_argument. The slot budget is
+    /// split across banks rounding up (ceil(capacity / num_banks) per
+    /// bank), so the aggregate capacity never drops below the request; 1
+    /// (the default) is bit- and cycle-identical to the unsharded
+    /// circuit. Ignored by the software baselines.
     unsigned num_banks = 1;
     /// Sorter implementation behind the contract. kFfs drops the cycle
     /// model (simulation() is null, accesses count 1 per op) in exchange

@@ -51,35 +51,17 @@ public:
     /// The sorter-backed queues throw std::overflow_error when full and
     /// std::invalid_argument on a tag that would stretch their wrap
     /// window (Fig. 6), both before the stored set changes.
+    ///
+    /// Payload width: the ffs backend and the software baselines keep all
+    /// 32 bits. The model backend packs the payload into the tag-store
+    /// word beside the tag and the next pointer, so its field is
+    /// min(32, 64 - tag bits - pointer bits) wide, at least 16 (18 bits
+    /// for a 32-bit tree over 8,192 slots; 32 bits at the paper's 12-bit
+    /// tree). A wider payload throws std::out_of_range, also before the
+    /// stored set changes.
     virtual void insert(std::uint64_t tag, std::uint32_t payload) = 0;
     virtual std::optional<QueueEntry> pop_min() = 0;
     virtual std::optional<QueueEntry> peek_min() = 0;
-
-    /// Bulk insert for host-throughput callers: semantically `n` scalar
-    /// inserts in order. The default is exactly that loop; sorter-backed
-    /// queues override it to pay the virtual dispatch, stats bracket, and
-    /// trace span once per batch. Overrides keep per-op *cycle*
-    /// accounting identical to the scalar path and keep QueueStats op
-    /// counts and accesses_total exact, but may attribute accesses at
-    /// batch granularity — worst_insert_accesses/worst_pop_accesses are
-    /// only tightened by the scalar entry points (Table I measurements
-    /// use those).
-    virtual void insert_batch(const QueueEntry* entries, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) insert(entries[i].tag, entries[i].payload);
-    }
-
-    /// Bulk pop: up to `max_n` pops into `out`, stopping when empty;
-    /// returns the count. Default loops pop_min; see insert_batch for
-    /// override semantics.
-    virtual std::size_t pop_batch(QueueEntry* out, std::size_t max_n) {
-        std::size_t n = 0;
-        while (n < max_n) {
-            const auto e = pop_min();
-            if (!e) break;
-            out[n++] = *e;
-        }
-        return n;
-    }
 
     virtual std::size_t size() const = 0;
     bool empty() const { return size() == 0; }
@@ -125,19 +107,6 @@ protected:
 
     /// Record `n` memory accesses for the current operation.
     void touch(std::uint64_t n = 1) { stats_.accesses_total += n; }
-
-    /// Batch-granularity stats bracket for insert_batch/pop_batch
-    /// overrides: `ops` operations spent `accesses` accesses in total.
-    /// Op counts and accesses_total stay exact; the per-op worst-case
-    /// trackers are deliberately left alone (they are defined per scalar
-    /// op — see insert_batch).
-    void record_batch(OpScope::Kind kind, std::uint64_t ops, std::uint64_t accesses) {
-        stats_.accesses_total += accesses;
-        if (kind == OpScope::Kind::Insert)
-            stats_.inserts += ops;
-        else
-            stats_.pops += ops;
-    }
 
 private:
     QueueStats stats_;

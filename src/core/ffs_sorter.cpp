@@ -242,15 +242,6 @@ void FfsSorter::advance_window(std::uint64_t new_head_physical) {
 // -- datapath ---------------------------------------------------------------
 
 void FfsSorter::insert(std::uint64_t tag, std::uint32_t payload) {
-    insert_impl(tag, payload);
-}
-
-void FfsSorter::insert_batch(const SortedTag* entries, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-        insert_impl(entries[i].tag, entries[i].payload);
-}
-
-void FfsSorter::insert_impl(std::uint64_t tag, std::uint32_t payload) {
     // Both precondition failures throw *before* any state is touched
     // (contract shared with the model backend).
     if (full()) throw std::overflow_error("FfsSorter: tag memory full");
@@ -294,16 +285,6 @@ std::optional<SortedTag> FfsSorter::peek_min() const {
 
 std::optional<SortedTag> FfsSorter::pop_min() {
     if (empty()) return std::nullopt;
-    return pop_impl();
-}
-
-std::size_t FfsSorter::pop_batch(SortedTag* out, std::size_t max_n) {
-    std::size_t n = 0;
-    while (n < max_n && !empty()) out[n++] = pop_impl();
-    return n;
-}
-
-SortedTag FfsSorter::pop_impl() {
     const std::uint64_t head_physical = head_logical_ & (range_ - 1);
     Chain* chain = chain_find(head_physical);
     WFQS_ASSERT(chain != nullptr);

@@ -2,13 +2,13 @@
 // words over CPU intrinsics (the Eiffel approach to software packet
 // scheduling, PAPERS.md).
 //
-// `FfsSorter` implements the full `TagSorter` contract — moving tag-wrap
-// window, sector invalidation, immediate last-duplicate retirement,
-// audit, batched ops, identical exception behaviour — but
-// with no `hw::Simulation` behind it. Where `TagSorter` walks SRAM-modeled
-// tree nodes one matcher cycle at a time, this backend keeps one hierarchical
-// bitmap: level 0 has one bit per representable tag value, packed 64 values
-// per word, and each summary level ORs 64 lower words into one bit. A
+// `FfsSorter` satisfies the scalar sorter contract (`SorterContract`,
+// core/sorter_contract.hpp) with the model's window, sector-invalidation
+// and last-duplicate-retirement semantics, but with no `hw::Simulation`
+// behind it. Where `TagSorter` walks SRAM-modeled tree nodes one matcher
+// cycle at a time, this backend keeps one hierarchical bitmap: level 0
+// has one bit per representable tag value, packed 64 values per word,
+// and each summary level ORs 64 lower words into one bit. A
 // successor scan is then at most one masked word test per level in each
 // direction (≤ 5 levels at the 28-bit cap), resolved with
 // `std::countr_zero` / `std::countl_zero` (BMI `tzcnt`/`lzcnt` on x86).
@@ -43,7 +43,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/tag_sorter.hpp"  // SortedTag, SorterStats, TagSorter::Config
+#include "core/sorter_contract.hpp"
+#include "core/tag_sorter.hpp"  // SorterStats, TagSorter::Config
 #include "fault/audit.hpp"
 #include "obs/metrics.hpp"
 
@@ -130,7 +131,7 @@ public:
 
     explicit FfsSorter(const Config& config);
 
-    // -- datapath (contract-identical to TagSorter) ------------------------
+    // -- datapath (SorterContract) ----------------------------------------
 
     /// Throws std::overflow_error when full (checked first), then
     /// std::invalid_argument on a window violation — before any mutation.
@@ -142,13 +143,6 @@ public:
     /// §III-C combined store + serve; precondition: non-empty (throws
     /// std::invalid_argument otherwise, like the model).
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload);
-
-    /// Semantically `n` scalar inserts in order (a throw leaves entries
-    /// [0, i) applied, like a scalar loop would).
-    void insert_batch(const SortedTag* entries, std::size_t n);
-
-    /// Up to `max_n` pops into `out`, stopping when empty. Returns count.
-    std::size_t pop_batch(SortedTag* out, std::size_t max_n);
 
     // -- integrity ---------------------------------------------------------
 
@@ -170,10 +164,6 @@ public:
 
     bool can_accept(std::uint64_t logical) const;
     std::uint64_t window_span() const { return range_ - sector_size_; }
-
-    /// Head register (meaningful while non-empty): the sharded ffs
-    /// queue's head merge compares banks on it.
-    std::uint64_t head_logical() const { return head_logical_; }
 
     const SorterStats& stats() const { return stats_; }
 
@@ -221,9 +211,6 @@ private:
         std::uint32_t head = kNull;
         std::uint32_t tail = kNull;
     };
-
-    void insert_impl(std::uint64_t tag, std::uint32_t payload);
-    SortedTag pop_impl();  ///< precondition: non-empty
 
     void validate_incoming(std::uint64_t logical) const;
     void advance_window(std::uint64_t new_head_physical);
@@ -282,5 +269,7 @@ private:
         0.0, static_cast<double>(TagSorter::hist_bins(config_)),
         TagSorter::hist_bins(config_)};
 };
+
+static_assert(SorterContract<FfsSorter>);
 
 }  // namespace wfqs::core

@@ -191,16 +191,6 @@ std::optional<SortedTag> ShardedSorter::pop_min() {
     return SortedTag{to_global(popped->tag, b), popped->payload};
 }
 
-void ShardedSorter::insert_batch(const SortedTag* entries, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) insert(entries[i].tag, entries[i].payload);
-}
-
-std::size_t ShardedSorter::pop_batch(SortedTag* out, std::size_t max_n) {
-    std::size_t n = 0;
-    while (n < max_n && min_bank_ >= 0) out[n++] = *pop_min();
-    return n;
-}
-
 SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload,
                                         std::uint64_t flow_key) {
     WFQS_REQUIRE(min_bank_ >= 0, "insert_and_pop needs a non-empty sorter");

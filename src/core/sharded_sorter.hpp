@@ -120,15 +120,6 @@ public:
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload,
                              std::uint64_t flow_key = 0);
 
-    /// Bulk insert: semantically `n` scalar inserts with flow key 0, in
-    /// order (identical bank engagements, clock advance, and stats),
-    /// dispatched with one call for host-throughput callers.
-    void insert_batch(const SortedTag* entries, std::size_t n);
-
-    /// Bulk pop: up to `max_n` pops into `out`, stopping when empty;
-    /// returns the count. Same per-op accounting as scalar pop_min.
-    std::size_t pop_batch(SortedTag* out, std::size_t max_n);
-
     // -- observers ---------------------------------------------------------
 
     std::size_t size() const;
@@ -284,5 +275,7 @@ private:
 
     ShardedStats stats_;
 };
+
+static_assert(SorterContract<ShardedSorter>);
 
 }  // namespace wfqs::core

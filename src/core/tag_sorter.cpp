@@ -183,15 +183,6 @@ void TagSorter::register_metrics(obs::MetricsRegistry& registry,
 
 void TagSorter::insert(std::uint64_t tag, std::uint32_t payload) {
     WFQS_TRACE_SPAN("sorter.insert", "sorter");
-    insert_impl(tag, payload);
-}
-
-void TagSorter::insert_batch(const SortedTag* entries, std::size_t n) {
-    WFQS_TRACE_SPAN("sorter.insert_batch", "sorter");
-    for (std::size_t i = 0; i < n; ++i) insert_impl(entries[i].tag, entries[i].payload);
-}
-
-void TagSorter::insert_impl(std::uint64_t tag, std::uint32_t payload) {
     // Both precondition failures throw *before* any state is touched, so
     // a caller that catches them can keep operating on an intact sorter.
     if (full()) throw std::overflow_error("TagSorter: tag memory full");
@@ -261,18 +252,6 @@ std::optional<SortedTag> TagSorter::peek_min() const {
 std::optional<SortedTag> TagSorter::pop_min() {
     if (empty()) return std::nullopt;
     WFQS_TRACE_SPAN("sorter.pop_min", "sorter");
-    return pop_impl();
-}
-
-std::size_t TagSorter::pop_batch(SortedTag* out, std::size_t max_n) {
-    if (max_n == 0 || empty()) return 0;
-    WFQS_TRACE_SPAN("sorter.pop_batch", "sorter");
-    std::size_t n = 0;
-    while (n < max_n && !empty()) out[n++] = pop_impl();
-    return n;
-}
-
-SortedTag TagSorter::pop_impl() {
     const std::uint64_t t0 = clock_.now();
 
     const std::optional<std::uint64_t> second = store_.peek_second_tag();

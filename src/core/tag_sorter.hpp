@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/sorter_contract.hpp"
 #include "fault/audit.hpp"
 #include "hw/simulation.hpp"
 #include "matcher/matcher.hpp"
@@ -37,13 +38,6 @@
 #include "tree/multibit_tree.hpp"
 
 namespace wfqs::core {
-
-struct SortedTag {
-    std::uint64_t tag = 0;       ///< logical (unwrapped) tag value
-    std::uint32_t payload = 0;   ///< packet-buffer pointer
-
-    friend bool operator==(const SortedTag&, const SortedTag&) = default;
-};
 
 struct SorterStats {
     std::uint64_t inserts = 0;
@@ -114,17 +108,6 @@ public:
     /// §III-C simultaneous store + serve, four list cycles, reusing the
     /// departing slot. Precondition: non-empty.
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload);
-
-    /// Bulk insert for host-throughput callers: semantically `n` scalar
-    /// inserts in order — identical clock advance, stats, histogram
-    /// samples, and exception behavior (a throw leaves entries [0, i)
-    /// applied, like a scalar loop would) — but the host-side trace span
-    /// and dispatch overhead is paid once per batch.
-    void insert_batch(const SortedTag* entries, std::size_t n);
-
-    /// Bulk pop: up to `max_n` pops into `out`, stopping when empty.
-    /// Returns the count. Same per-op accounting as scalar pop_min.
-    std::size_t pop_batch(SortedTag* out, std::size_t max_n);
 
     // -- integrity (core/tag_sorter_integrity.cpp) -------------------------
 
@@ -202,11 +185,6 @@ public:
     static std::size_t hist_bins(const Config& config);
 
 private:
-    /// Datapath bodies shared by the scalar and batch entry points (the
-    /// public wrappers add the per-op or per-batch trace span).
-    void insert_impl(std::uint64_t tag, std::uint32_t payload);
-    SortedTag pop_impl();  ///< precondition: non-empty
-
     fault::AuditReport audit_impl() const;
     std::uint64_t to_physical(std::uint64_t logical) const;
     void validate_incoming(std::uint64_t logical) const;
@@ -244,5 +222,7 @@ private:
     obs::CycleHistogram combined_cycles_hist_{
         0.0, static_cast<double>(hist_bins(config_)), hist_bins(config_)};
 };
+
+static_assert(SorterContract<TagSorter>);
 
 }  // namespace wfqs::core

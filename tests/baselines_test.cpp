@@ -2,12 +2,12 @@
 // against a reference model under a shared monotone-window workload, plus
 // structure-specific behaviours (heap stability, calendar resize, CAM
 // sweep costs, TCAM probe bound, binning inexactness, vEB duplicates),
-// and the batched insert_batch/pop_batch entry points against the
-// scalar ops they stand for.
+// and the payload width each sorter-backed queue keeps.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/binning_queue.hpp"
@@ -19,7 +19,6 @@
 #include "baselines/tcq_queue.hpp"
 #include "baselines/veb_queue.hpp"
 #include "common/rng.hpp"
-#include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
 
 namespace wfqs::baselines {
@@ -352,104 +351,40 @@ TEST(QueueAccessComparison, MultibitTreeBeatsSearchModelWorstCase) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched queue entry points
+// Payload width
 
-// Batch and scalar paths must agree on contents, stats, and — for the
-// sorter-backed queues — hardware cycles.
-TEST(BatchApi, SorterQueueBatchMatchesScalar) {
-    using baselines::QueueEntry;
-    const auto make = [] {
-        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                         {16, 1 << 10});
-    };
-    auto scalar = make();
-    auto batched = make();
+// The model queue packs the payload into an 18-bit field at 32-bit tags
+// over 8,192 slots: a wider payload is refused before any state changes.
+// At the paper's 12-bit tree the field is the full 32 bits. The ffs
+// queue keeps all 32 bits at any width.
+TEST(PayloadWidth, ModelQueueRefusesWidePayloadIntact) {
+    auto q = make_tag_queue(QueueKind::MultibitTree, {32, 8192});
+    q->insert(3, (1u << 18) - 1);
+    const QueueStats before = q->stats();
+    const std::uint64_t cycles = q->simulation()->clock().now();
+    EXPECT_THROW(q->insert(5, 1u << 20), std::out_of_range);
+    EXPECT_THROW(q->insert(5, 0xFFFF'FFFFu), std::out_of_range);
+    EXPECT_EQ(q->size(), 1u);
+    EXPECT_EQ(q->stats().inserts, before.inserts);
+    EXPECT_EQ(q->stats().accesses_total, before.accesses_total);
+    EXPECT_EQ(q->simulation()->clock().now(), cycles);
+    q->insert(5, 7);
+    EXPECT_EQ(q->pop_min(), (QueueEntry{3, (1u << 18) - 1}));
+    EXPECT_EQ(q->pop_min(), (QueueEntry{5, 7}));
 
-    std::vector<QueueEntry> entries;
-    // Stay inside the sorter's moving window (span = 3/4 of the 16-bit
-    // range for a 4-ary tree).
-    for (std::uint32_t i = 0; i < 300; ++i)
-        entries.push_back({(i * 2654435761u) & 0x7FFF, i});
-
-    for (const auto& e : entries) scalar->insert(e.tag, e.payload);
-    batched->insert_batch(entries.data(), entries.size());
-
-    EXPECT_EQ(scalar->stats().inserts, batched->stats().inserts);
-    EXPECT_EQ(scalar->stats().accesses_total, batched->stats().accesses_total);
-    ASSERT_NE(scalar->simulation(), nullptr);
-    ASSERT_NE(batched->simulation(), nullptr);
-    EXPECT_EQ(scalar->simulation()->clock().now(),
-              batched->simulation()->clock().now());
-
-    std::vector<QueueEntry> batch_out(entries.size());
-    const std::size_t got = batched->pop_batch(batch_out.data(), batch_out.size());
-    ASSERT_EQ(got, entries.size());
-    for (std::size_t i = 0; i < got; ++i) {
-        const auto e = scalar->pop_min();
-        ASSERT_TRUE(e.has_value());
-        EXPECT_EQ(e->tag, batch_out[i].tag);
-        EXPECT_EQ(e->payload, batch_out[i].payload);
-    }
-    EXPECT_TRUE(scalar->empty());
-    EXPECT_TRUE(batched->empty());
-    EXPECT_EQ(scalar->stats().pops, batched->stats().pops);
-    EXPECT_EQ(scalar->stats().accesses_total, batched->stats().accesses_total);
-    EXPECT_EQ(scalar->simulation()->clock().now(),
-              batched->simulation()->clock().now());
+    auto paper = make_tag_queue(QueueKind::MultibitTree, {12, 8192});
+    paper->insert(5, 0xFFFF'FFFFu);
+    EXPECT_EQ(paper->pop_min(), (QueueEntry{5, 0xFFFF'FFFFu}));
 }
 
-// The default (software-baseline) implementation is literally the scalar
-// loop; spot-check one structure through the virtual interface.
-TEST(BatchApi, DefaultBatchMatchesScalarOnHeap) {
-    using baselines::QueueEntry;
-    auto scalar = baselines::make_tag_queue(baselines::QueueKind::Heap, {16, 256});
-    auto batched = baselines::make_tag_queue(baselines::QueueKind::Heap, {16, 256});
-
-    std::vector<QueueEntry> entries;
-    for (std::uint32_t i = 0; i < 64; ++i) entries.push_back({97 - (i % 13), i});
-    for (const auto& e : entries) scalar->insert(e.tag, e.payload);
-    batched->insert_batch(entries.data(), entries.size());
-    EXPECT_EQ(scalar->stats().inserts, batched->stats().inserts);
-    EXPECT_EQ(scalar->stats().accesses_total, batched->stats().accesses_total);
-
-    std::vector<QueueEntry> out(entries.size());
-    const std::size_t got = batched->pop_batch(out.data(), out.size());
-    ASSERT_EQ(got, entries.size());
-    for (std::size_t i = 0; i < got; ++i) {
-        const auto e = scalar->pop_min();
-        ASSERT_TRUE(e.has_value());
-        EXPECT_EQ(e->tag, out[i].tag);
-        EXPECT_EQ(e->payload, out[i].payload);  // FIFO among equal tags
-    }
-}
-
-TEST(BatchApi, TagSorterBatchKeepsCycleAccounting) {
-    hw::Simulation scalar_sim, batch_sim;
-    core::TagSorter::Config cfg{tree::TreeGeometry{4, 4}, 256, 32};
-    core::TagSorter scalar(cfg, scalar_sim);
-    core::TagSorter batched(cfg, batch_sim);
-
-    std::vector<core::SortedTag> tags;
-    for (std::uint32_t i = 0; i < 200; ++i)
-        tags.push_back({(i * 7919u) & 0x7FFF, i});
-
-    for (const auto& t : tags) scalar.insert(t.tag, t.payload);
-    batched.insert_batch(tags.data(), tags.size());
-    EXPECT_EQ(scalar_sim.clock().now(), batch_sim.clock().now());
-    EXPECT_EQ(scalar.stats().inserts, batched.stats().inserts);
-    EXPECT_EQ(scalar.stats().insert_cycles_total, batched.stats().insert_cycles_total);
-
-    std::vector<core::SortedTag> out(tags.size());
-    const std::size_t got = batched.pop_batch(out.data(), out.size());
-    ASSERT_EQ(got, tags.size());
-    for (std::size_t i = 0; i < got; ++i) {
-        const auto e = scalar.pop_min();
-        ASSERT_TRUE(e.has_value());
-        EXPECT_EQ(e->tag, out[i].tag);
-        EXPECT_EQ(e->payload, out[i].payload);
-    }
-    EXPECT_EQ(scalar_sim.clock().now(), batch_sim.clock().now());
-    EXPECT_EQ(scalar.stats().pop_cycles_total, batched.stats().pop_cycles_total);
+TEST(PayloadWidth, FfsQueueKeepsAll32Bits) {
+    QueueParams params{32, 8192};
+    params.backend = SorterBackend::kFfs;
+    auto q = make_tag_queue(QueueKind::MultibitTree, params);
+    q->insert(5, 1u << 20);
+    q->insert(6, 0xFFFF'FFFFu);
+    EXPECT_EQ(q->pop_min(), (QueueEntry{5, 1u << 20}));
+    EXPECT_EQ(q->pop_min(), (QueueEntry{6, 0xFFFF'FFFFu}));
 }
 
 }  // namespace

@@ -143,18 +143,6 @@ TEST(FfsSorter, FullCapacitySpill) {
     EXPECT_TRUE(s.empty());
 }
 
-TEST(FfsSorter, BatchInsertKeepsPrefixOnThrow) {
-    const auto cfg = make_config(2, 3, 8);
-    FfsSorter s(cfg);
-    core::SortedTag batch[8];
-    for (std::uint64_t i = 0; i < 8; ++i)
-        batch[i] = {i < 5 ? i : 1'000'000 + i, static_cast<std::uint32_t>(i)};
-    // Entry 5 violates the window: entries [0, 5) must stay applied.
-    EXPECT_THROW(s.insert_batch(batch, 8), std::invalid_argument);
-    EXPECT_EQ(s.size(), 5u);
-    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(s.pop_min()->tag, i);
-}
-
 TEST(FfsSorter, SearchPrimitivesMatchSetReference) {
     for (const auto& cfg : edge_configs()) {
         FfsSorter s(cfg);
@@ -314,11 +302,10 @@ TEST(FfsCorpusReplay, EveryArtifactEveryGeometry) {
 
 // --- the ffs TagQueue backend in lockstep with the cycle model ----------
 
-void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
+void run_queue_lockstep(std::uint64_t seed) {
     baselines::QueueParams params;
     params.range_bits = 16;
     params.capacity = 2048;
-    params.num_banks = num_banks;
     auto model = baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
                                            params);
     params.backend = baselines::SorterBackend::kFfs;
@@ -327,17 +314,15 @@ void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
 
     Rng rng(seed);
     std::uint64_t cursor = 0;
-    std::vector<baselines::QueueEntry> batch;
     for (int round = 0; round < 200; ++round) {
-        // A burst of inserts (batched on both sides), then a partial drain.
-        batch.clear();
+        // A burst of inserts, then a partial drain.
         const std::size_t burst = 1 + rng.next_below(96);
         for (std::size_t i = 0; i < burst; ++i) {
             cursor += rng.next_below(40);
-            batch.push_back({cursor, static_cast<std::uint32_t>(rng.next_below(1 << 16))});
+            const auto payload = static_cast<std::uint32_t>(rng.next_below(1 << 16));
+            model->insert(cursor, payload);
+            ffs->insert(cursor, payload);
         }
-        model->insert_batch(batch.data(), batch.size());
-        ffs->insert_batch(batch.data(), batch.size());
         ASSERT_EQ(model->size(), ffs->size());
 
         const auto mpeek = model->peek_min();
@@ -370,8 +355,18 @@ void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
     }
 }
 
-TEST(FfsTagQueue, LockstepSingleBank) { run_queue_lockstep(1, 11); }
-TEST(FfsTagQueue, LockstepFourBanks) { run_queue_lockstep(4, 22); }
+TEST(FfsTagQueue, LockstepSingleBank) { run_queue_lockstep(11); }
+
+// Banks buy modeled cycles; the ffs backend has none, so it has no banked form.
+TEST(FfsTagQueue, RejectsBanks) {
+    baselines::QueueParams params;
+    params.backend = baselines::SorterBackend::kFfs;
+    params.num_banks = 4;
+    EXPECT_THROW(baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params),
+                 std::invalid_argument);
+    EXPECT_THROW(baselines::make_tag_queue(baselines::QueueKind::BinaryTree, params),
+                 std::invalid_argument);
+}
 
 TEST(FfsTagQueue, ReportsBackendName) {
     baselines::QueueParams params;

@@ -7,6 +7,7 @@ Usage:
                 [--tolerance FRAC]
   perf_smoke.py --host-overhead <off.json[,off2,...]> <on.json[,on2,...]>
                 [--overhead-tolerance FRAC]
+  perf_smoke.py --ledger <result.json[,result2,...]> [--ledger ...]
 
 Default mode checks (all on *modeled*, machine-independent metrics):
   1. every committed gauge whose name contains "cycles_per_op" must not
@@ -45,6 +46,15 @@ with --timeseries (profiler + sampler attached). Comma-separated lists
 are best-of-N: the best ops/sec on each side is compared, and the run
 fails if telemetry costs more than --overhead-tolerance (default 3%) of
 host.ops_per_sec.
+
+--ledger mode gates perfbench's per-layer ledger: each file holds the
+result line of one `perfbench/run.py --trace 1` run, and every run must
+be correct with no failed op. The same-process ratios adapter_over_bare
+(TagQueue adapter / bare sorter) and wrapper_over_bare (one-bank
+ShardedSorter / bare TagSorter) must not exceed 2.0. Both halves of each ratio are timed in one process on one stream,
+so the gate holds on any box. A comma-separated list is best-of-N runs
+of one workload (the smallest ratio gates), as in --host-overhead mode:
+a transient stall on a shared runner inflates one run, not every run.
 
 host.* *wall-clock* gauges (elapsed_ms, ops_per_sec) vary machine to
 machine and are skipped by the default mode's name scan; the same-process
@@ -99,6 +109,47 @@ def run_host_overhead(args):
               f"{floor:.0f} ops/s floor", file=sys.stderr)
         return 1
     print("PERF SMOKE PASS (telemetry overhead within budget)")
+    return 0
+
+
+LEDGER_RATIOS = ("adapter_over_bare", "wrapper_over_bare")
+LEDGER_CEILING = 2.0
+
+
+def run_ledger(args):
+    failures = []
+    checked = 0
+    for group in args.ledger:
+        best = {}
+        for path in group.split(","):
+            result = load_doc(path)
+            if result.get("correct") is not True or result.get("failed") != 0:
+                failures.append(f"{path}: run not correct (correct="
+                                f"{result.get('correct')}, failed="
+                                f"{result.get('failed')})")
+            metrics = result.get("metrics", {})
+            for name in LEDGER_RATIOS:
+                value = metrics.get(name, {}).get("value")
+                if value is None:
+                    failures.append(f"{path}: {name} missing — not a "
+                                    "--trace 1 result?")
+                elif name not in best or value < best[name]:
+                    best[name] = value
+        runs = group.count(",") + 1
+        for name, value in best.items():
+            checked += 1
+            status = "ok" if value <= LEDGER_CEILING else "OVER"
+            print(f"  {group}: {name} {value:.3f} (best of {runs}, ceiling "
+                  f"{LEDGER_CEILING:.2f}) {status}")
+            if value > LEDGER_CEILING:
+                failures.append(f"{group}: {name} {value:.3f} > "
+                                f"{LEDGER_CEILING:.2f}")
+    if failures:
+        print(f"PERF SMOKE FAIL ({len(failures)} issue(s)):", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return 1
+    print(f"PERF SMOKE PASS ({checked} ledger ratios)")
     return 0
 
 
@@ -165,12 +216,16 @@ def run_policy(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("committed",
+    parser.add_argument("committed", nargs="?",
                         help="committed artifact, or telemetry-OFF list in "
                              "--host-overhead mode")
-    parser.add_argument("fresh",
+    parser.add_argument("fresh", nargs="?",
                         help="fresh run, or telemetry-ON list in "
                              "--host-overhead mode")
+    parser.add_argument("--ledger", action="append", metavar="RESULT",
+                        help="gate a perfbench --trace 1 result line's "
+                             "same-process ratios at 2.0 (repeatable; a "
+                             "comma list is best-of-N)")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed fractional cycles/op regression (default 5%%)")
     parser.add_argument("--policy", action="store_true",
@@ -193,6 +248,12 @@ def main():
                              "(machine-specific; off by default)")
     args = parser.parse_args()
 
+    if args.ledger:
+        if args.committed or args.fresh:
+            parser.error("--ledger takes no positional files")
+        return run_ledger(args)
+    if args.committed is None or args.fresh is None:
+        parser.error("committed and fresh files are required")
     if args.host_overhead:
         return run_host_overhead(args)
     if args.policy:
