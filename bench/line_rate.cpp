@@ -13,12 +13,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <optional>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/throughput.hpp"
 #include "baselines/factory.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/ffs_sorter.hpp"
 #include "core/synthesis_model.hpp"
 #include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
@@ -95,6 +101,107 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
     reg.gauge("host.ffs.ops_per_sec").set(ffs_ops);
     reg.gauge("host.ffs.speedup_vs_model").set(speedup);
     return 2 * kOps;  // both backends' op streams are host work
+}
+
+// --- live-set sweep (hold model) ------------------------------------------
+//
+// A steady live set of N entries; each step pops the minimum and inserts
+// it plus a uniform step below kHoldStep, the live span the benchmark's
+// WFQ traffic reaches (p99 691-849 values). FfsSorter runs against a
+// binary heap with the sorters' FIFO tie-break, both bare behind the same
+// insert/pop_min surface, at the paper12 and wide32 geometries. Each cell
+// is the fastest of kHoldRepeats alternating runs; both sorters must pop
+// the same sequence. perf_smoke gates ffs <= heap at each geometry's
+// largest N, a same-process ratio like host.ffs.speedup_vs_model.
+
+constexpr std::uint64_t kHoldStep = 1024;
+constexpr std::uint64_t kHoldSteps = 1 << 16;
+constexpr int kHoldRepeats = 3;
+
+/// std::priority_queue ordered by (tag, arrival order).
+class FifoHeap {
+public:
+    explicit FifoHeap(const TagSorter::Config& /*unused*/) {}
+    void insert(std::uint64_t tag, std::uint32_t payload) {
+        heap_.push({tag, seq_++, payload});
+    }
+    std::optional<SortedTag> pop_min() {
+        if (heap_.empty()) return std::nullopt;
+        const Entry e = heap_.top();
+        heap_.pop();
+        return SortedTag{e.tag, e.payload};
+    }
+
+private:
+    struct Entry {
+        std::uint64_t tag;
+        std::uint64_t seq;
+        std::uint32_t payload;
+        bool operator>(const Entry& o) const {
+            return tag != o.tag ? tag > o.tag : seq > o.seq;
+        }
+    };
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::uint64_t seq_ = 0;
+};
+
+struct HoldRun {
+    double ns_per_op;
+    std::uint64_t checksum;  ///< over the popped (tag, payload) sequence
+};
+
+template <class Sorter>
+HoldRun run_hold(const TagSorter::Config& cfg, std::uint64_t seed) {
+    Sorter sorter(cfg);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < cfg.capacity; ++i)
+        sorter.insert(rng.next_below(kHoldStep), static_cast<std::uint32_t>(i));
+    std::uint64_t checksum = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < kHoldSteps; ++i) {
+        const SortedTag min = *sorter.pop_min();
+        checksum = checksum * 31 + min.tag * 7 + min.payload;
+        sorter.insert(min.tag + rng.next_below(kHoldStep), static_cast<std::uint32_t>(i));
+    }
+    const double sec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return {sec * 1e9 / (2.0 * kHoldSteps), checksum};
+}
+
+/// Returns the host ops it ran (fills and timed steps).
+std::uint64_t run_live_set_sweep(obs::BenchReporter& reporter, bool& diverged) {
+    const std::uint64_t seed = reporter.seed(11);
+    auto& reg = reporter.registry();
+    const std::pair<const char*, tree::TreeGeometry> geometries[] = {
+        {"paper12", tree::TreeGeometry::paper()},
+        {"wide32", tree::TreeGeometry::wide32()}};
+    TextTable table({"geometry", "live N", "ffs ns/op", "heap ns/op", "heap/ffs"});
+    std::uint64_t ops = 0;
+    for (const auto& [name, geometry] : geometries) {
+        for (const std::size_t n : {1, 64, 1024, 16384, 262144}) {
+            const TagSorter::Config cfg{geometry, n, 32};
+            double ffs = 0, heap = 0;
+            for (int r = 0; r < kHoldRepeats; ++r) {
+                const HoldRun f = run_hold<FfsSorter>(cfg, seed + r);
+                const HoldRun h = run_hold<FifoHeap>(cfg, seed + r);
+                diverged |= f.checksum != h.checksum;
+                ffs = r == 0 ? f.ns_per_op : std::min(ffs, f.ns_per_op);
+                heap = r == 0 ? h.ns_per_op : std::min(heap, h.ns_per_op);
+                ops += 2 * (n + 2 * kHoldSteps);
+            }
+            const std::string key =
+                std::string("host.sweep.") + name + ".n" + std::to_string(n);
+            reg.gauge(key + ".ffs_ns_per_op").set(ffs);
+            reg.gauge(key + ".heap_ns_per_op").set(heap);
+            table.add_row({name, std::to_string(n), TextTable::num(ffs, 1),
+                           TextTable::num(heap, 1), TextTable::num(heap / ffs, 2)});
+        }
+    }
+    std::printf("live-set sweep (hold model, steps < %llu, fastest of %d):\n%s\n",
+                static_cast<unsigned long long>(kHoldStep), kHoldRepeats,
+                table.render().c_str());
+    if (diverged) std::printf("LIVE-SET SWEEP: ffs and heap popped different sequences\n");
+    return ops;
 }
 
 // --- host driver phase ---------------------------------------------------
@@ -218,6 +325,8 @@ int main(int argc, char** argv) {
     // --- host throughput phase (both backends) -------------------------
     std::printf("\n");
     const std::uint64_t throughput_ops = run_host_throughput_phase(reporter);
+    bool sweep_diverged = false;
+    const std::uint64_t sweep_ops = run_live_set_sweep(reporter, sweep_diverged);
 
     // --- host driver phase ---------------------------------------------
     // Outlives reporter.finish(): the reporter exports its per-stage
@@ -225,7 +334,7 @@ int main(int argc, char** argv) {
     obs::HostProfiler prof;
     const std::uint64_t driver_ops = run_driver_phase(reporter, prof, backend);
 
-    reporter.record_host_ops(kOps + throughput_ops + driver_ops);
+    reporter.record_host_ops(kOps + throughput_ops + sweep_ops + driver_ops);
     reporter.finish();
-    return 0;
+    return sweep_diverged ? 1 : 0;
 }

@@ -58,17 +58,17 @@ public:
             throw std::out_of_range("payload " + std::to_string(payload) +
                                     " wider than the tag store's " +
                                     std::to_string(payload_bits_) + "-bit field");
-        OpScope op(*this, OpScope::Kind::Insert);
         const std::uint64_t before = sim_.total_memory_stats().total();
-        sorter_.insert(tag, payload);
+        sorter_.insert(tag, payload);  // a refusal throws before the op counts
+        OpScope op(*this, OpScope::Kind::Insert);
         touch(sim_.total_memory_stats().total() - before);
     }
 
     std::optional<QueueEntry> pop_min() override {
         if (sorter_.empty()) return std::nullopt;
-        OpScope op(*this, OpScope::Kind::Pop);
         const std::uint64_t before = sim_.total_memory_stats().total();
         const auto popped = sorter_.pop_min();
+        OpScope op(*this, OpScope::Kind::Pop);
         touch(sim_.total_memory_stats().total() - before);
         return QueueEntry{popped->tag, popped->payload};
     }
@@ -116,15 +116,15 @@ public:
           complexity_(std::move(complexity)) {}
 
     void insert(std::uint64_t tag, std::uint32_t payload) override {
+        sorter_.insert(tag, payload);  // a refusal throws before the op counts
         OpScope op(*this, OpScope::Kind::Insert);
-        sorter_.insert(tag, payload);
         touch(1);
     }
 
     std::optional<QueueEntry> pop_min() override {
         if (sorter_.empty()) return std::nullopt;
-        OpScope op(*this, OpScope::Kind::Pop);
         const auto popped = sorter_.pop_min();
+        OpScope op(*this, OpScope::Kind::Pop);
         touch(1);
         return QueueEntry{popped->tag, popped->payload};
     }

@@ -90,7 +90,11 @@ public:
     void reset_stats() { stats_ = {}; }
 
 protected:
-    /// RAII op bracket: accumulates accesses into the right counters.
+    /// RAII op bracket: accumulates accesses into the right counters. It
+    /// commits in its destructor, during unwinding too, so open it only
+    /// once the op can no longer be refused: a refused insert is not an
+    /// insert. (Telling unwinding apart would take std::uncaught_exceptions,
+    /// ~6 ns a call: more than a whole ffs-backed op.)
     class OpScope {
     public:
         enum class Kind { Insert, Pop };

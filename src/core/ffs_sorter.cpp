@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -26,13 +27,67 @@ inline std::uint32_t mix32(std::uint32_t x) {
 
 }  // namespace
 
+// -- paged bitmap words ------------------------------------------------------
+
+std::uint64_t** PagedWords::zero_block() {
+    static std::uint64_t** const block = [] {
+        static std::uint64_t* pages[kBlockPages];
+        std::fill(std::begin(pages), std::end(pages), &zero_page_[0]);
+        return pages;
+    }();
+    return block;
+}
+
+PagedWords::PagedWords(std::uint64_t words)
+    : words_(words),
+      dir_(static_cast<std::size_t>(ceil_div(words, kPageWords * kBlockPages)),
+           zero_block()) {}
+
+std::uint64_t* PagedWords::allocate_page(std::uint64_t idx) {
+    WFQS_ASSERT(idx < words_);
+    std::uint64_t**& block = dir_[static_cast<std::size_t>(idx >> (kPageShift + kBlockShift))];
+    if (block == zero_block()) {
+        auto fresh = std::make_unique<std::uint64_t*[]>(kBlockPages);
+        std::fill_n(fresh.get(), kBlockPages, &zero_page_[0]);
+        block = fresh.get();
+        blocks_.push_back(std::move(fresh));
+    }
+    // A page never extends past the level's last word, so the small
+    // summary levels cost a few words, not 4 KiB.
+    const std::uint64_t base = idx & ~kPageMask;
+    auto page = std::make_unique<std::uint64_t[]>(
+        static_cast<std::size_t>(std::min(kPageWords, words_ - base)));
+    std::uint64_t* raw = page.get();
+    block[(idx >> kPageShift) & kBlockMask] = raw;
+    pages_.push_back(std::move(page));
+    return raw;
+}
+
+void PagedWords::for_each_nonzero(
+    const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
+    for (std::uint64_t b = 0; b < dir_.size(); ++b) {
+        if (dir_[b] == zero_block()) continue;
+        for (std::uint64_t pg = 0; pg < kBlockPages; ++pg) {
+            const std::uint64_t* page = dir_[b][pg];
+            if (page == zero_page_) continue;
+            const std::uint64_t base = ((b << kBlockShift) | pg) << kPageShift;
+            const std::uint64_t end = std::min(kPageWords, words_ - base);
+            for (std::uint64_t i = 0; i < end; ++i)
+                if (page[i] != 0) fn(base + i, page[i]);
+        }
+    }
+}
+
+// -- construction -------------------------------------------------------------
+
 FfsSorter::FfsSorter(const Config& config)
-    : config_(config), range_(config.geometry.capacity()) {
+    : config_(config), range_(config.geometry.capacity()), range_mask_(range_ - 1) {
     config_.geometry.validate();
     WFQS_REQUIRE(config_.capacity > 0, "sorter needs at least one slot");
     WFQS_REQUIRE(config_.capacity < kNull, "node indices are 32-bit");
     branching_ = config_.geometry.branching();
     sector_size_ = range_ / branching_;
+    sector_shift_ = static_cast<unsigned>(std::countr_zero(sector_size_));
     capacity_ = config_.capacity;
     payload_mask_ = static_cast<std::uint32_t>(low_mask(config_.payload_bits));
 
@@ -43,16 +98,11 @@ FfsSorter::FfsSorter(const Config& config)
         bits = words;
     } while (bits > 1);
 
-    nodes_.resize(capacity_);
-    const std::uint64_t slots =
-        std::bit_ceil(std::max<std::uint64_t>(16, std::uint64_t{capacity_} * 2));
-    chains_.resize(static_cast<std::size_t>(slots));
-    slot_mask_ = static_cast<std::uint32_t>(slots - 1);
+    // The node pool starts empty and the chain table at 16 slots; both
+    // double on demand (alloc_node, chain_for).
+    chains_.resize(16);
+    slot_mask_ = 15;
     sector_occupancy_.resize(branching_, 0);
-    // Every node starts on the free list, in index order.
-    for (std::size_t i = 0; i < capacity_; ++i)
-        nodes_[i].next = i + 1 < capacity_ ? static_cast<std::uint32_t>(i + 1) : kNull;
-    free_head_ = 0;
 }
 
 // -- bitmap -----------------------------------------------------------------
@@ -135,8 +185,12 @@ std::optional<std::uint64_t> FfsSorter::closest_leq(std::uint64_t physical) cons
 
 // -- duplicate chains -------------------------------------------------------
 
+std::uint32_t FfsSorter::home_slot(std::uint64_t p) const {
+    return mix32(static_cast<std::uint32_t>(p)) & slot_mask_;
+}
+
 std::uint32_t FfsSorter::chain_slot(std::uint64_t p) const {
-    std::uint32_t i = mix32(static_cast<std::uint32_t>(p)) & slot_mask_;
+    std::uint32_t i = home_slot(p);
     while (chains_[i].key != kNullValue) {
         if (chains_[i].key == p) return i;
         i = (i + 1) & slot_mask_;
@@ -144,26 +198,44 @@ std::uint32_t FfsSorter::chain_slot(std::uint64_t p) const {
     return kNull;
 }
 
-FfsSorter::Chain* FfsSorter::chain_find(std::uint64_t p) {
-    const std::uint32_t i = chain_slot(p);
-    return i == kNull ? nullptr : &chains_[i];
+std::uint32_t FfsSorter::chain_for(std::uint64_t p, bool& fresh) {
+    std::uint32_t i = home_slot(p);
+    while (chains_[i].key != kNullValue) {
+        if (chains_[i].key == p) {
+            fresh = false;
+            return i;
+        }
+        i = (i + 1) & slot_mask_;
+    }
+    fresh = true;
+    // A quarter full at most: linear probes stay short on every op
+    // that creates, finds or retires a value.
+    if (4 * (std::uint64_t{chain_count_} + 1) > chains_.size()) {
+        grow_chains();
+        i = home_slot(p);
+        while (chains_[i].key != kNullValue) i = (i + 1) & slot_mask_;
+    }
+    ++chain_count_;
+    chains_[i] = Chain{p, kNull, kNull};
+    bit_set(p);
+    return i;
 }
 
-const FfsSorter::Chain* FfsSorter::chain_find(std::uint64_t p) const {
-    const std::uint32_t i = chain_slot(p);
-    return i == kNull ? nullptr : &chains_[i];
+void FfsSorter::grow_chains() {
+    WFQS_ASSERT(chains_.size() <= (std::size_t{1} << 31));  // slot indices are 32-bit
+    std::vector<Chain> old(chains_.size() * 2);
+    old.swap(chains_);
+    slot_mask_ = static_cast<std::uint32_t>(chains_.size() - 1);
+    for (const Chain& chain : old) {
+        if (chain.key == kNullValue) continue;
+        std::uint32_t i = home_slot(chain.key);
+        while (chains_[i].key != kNullValue) i = (i + 1) & slot_mask_;
+        chains_[i] = chain;
+    }
 }
 
-FfsSorter::Chain& FfsSorter::chain_insert(std::uint64_t p) {
-    std::uint32_t i = mix32(static_cast<std::uint32_t>(p)) & slot_mask_;
-    while (chains_[i].key != kNullValue) i = (i + 1) & slot_mask_;
-    chains_[i].key = p;
-    return chains_[i];
-}
-
-void FfsSorter::chain_erase(std::uint64_t p) {
-    std::uint32_t i = chain_slot(p);
-    WFQS_ASSERT(i != kNull);
+void FfsSorter::erase_slot(std::uint32_t i) {
+    --chain_count_;
     // Backward-shift deletion keeps probe sequences unbroken without
     // tombstones (the table would otherwise fill with them: every retired
     // value is an erase).
@@ -173,8 +245,7 @@ void FfsSorter::chain_erase(std::uint64_t p) {
         for (;;) {
             j = (j + 1) & slot_mask_;
             if (chains_[j].key == kNullValue) return;
-            const std::uint32_t home =
-                mix32(static_cast<std::uint32_t>(chains_[j].key)) & slot_mask_;
+            const std::uint32_t home = home_slot(chains_[j].key);
             // Move j's entry into the hole at i only if its home slot does
             // not lie cyclically inside (i, j] — otherwise the move would
             // break j's own probe chain.
@@ -187,9 +258,54 @@ void FfsSorter::chain_erase(std::uint64_t p) {
     }
 }
 
+bool FfsSorter::append(std::uint64_t p, std::uint32_t payload) {
+    const std::uint32_t node = alloc_node(p, payload);
+    bool fresh = false;
+    Chain& chain = chains_[chain_for(p, fresh)];
+    if (fresh)
+        chain.head = node;
+    else
+        nodes_[chain.tail].next = node;
+    chain.tail = node;
+    return !fresh;
+}
+
+void FfsSorter::push_front(std::uint64_t p, std::uint32_t payload) {
+    const std::uint32_t node = alloc_node(p, payload);
+    bool fresh = false;
+    Chain& chain = chains_[chain_for(p, fresh)];
+    nodes_[node].next = chain.head;
+    chain.head = node;
+    if (fresh) chain.tail = node;
+}
+
+std::uint32_t FfsSorter::pop_front(std::uint32_t slot, std::uint64_t p) {
+    Chain& chain = chains_[slot];
+    const std::uint32_t node = chain.head;
+    const std::uint32_t payload = nodes_[node].payload;
+    chain.head = nodes_[node].next;
+    free_node(node);
+    if (chain.head == kNull) {
+        erase_slot(slot);
+        bit_clear(p);
+    }
+    return payload;
+}
+
 std::uint32_t FfsSorter::alloc_node(std::uint64_t value, std::uint32_t payload) {
+    if (free_head_ == kNull) {
+        // Double the pool (geometric growth: at most log2(capacity)
+        // doublings per lifetime), threading the new nodes onto the free
+        // list in index order.
+        const std::size_t old = nodes_.size();
+        const std::size_t grown = std::min(capacity_, std::max<std::size_t>(16, 2 * old));
+        WFQS_ASSERT(grown > old);
+        nodes_.resize(grown);
+        for (std::size_t i = old; i < grown; ++i)
+            nodes_[i].next = i + 1 < grown ? static_cast<std::uint32_t>(i + 1) : kNull;
+        free_head_ = static_cast<std::uint32_t>(old);
+    }
     const std::uint32_t n = free_head_;
-    WFQS_ASSERT(n != kNull);
     free_head_ = nodes_[n].next;
     nodes_[n].payload = payload;
     nodes_[n].next = kNull;
@@ -246,29 +362,26 @@ void FfsSorter::insert(std::uint64_t tag, std::uint32_t payload) {
     // (contract shared with the model backend).
     if (full()) throw std::overflow_error("FfsSorter: tag memory full");
     validate_incoming(tag);
-    const std::uint64_t physical = tag & (range_ - 1);
-    const bool was_empty = empty();
-    const bool undercut = !was_empty && tag < head_logical_;
+    payload &= payload_mask_;
+    const std::uint64_t physical = tag & range_mask_;
 
-    const std::uint32_t node = alloc_node(physical, payload & payload_mask_);
-    Chain* chain = chain_find(physical);
-    if (chain != nullptr) {
+    if (empty()) {
+        head_logical_ = max_logical_ = tag;
+        head_payload_ = payload;
+        lead_sector_ = sector_of(physical);
+    } else if (tag < head_logical_) {
+        // Undercut: the newcomer takes the register. The old head was
+        // inserted before any queued duplicate of its value, so it rejoins
+        // at the front of that value's chain.
+        push_front(head_logical_ & range_mask_, head_payload_);
+        head_logical_ = tag;
+        head_payload_ = payload;
+        lead_sector_ = sector_of(physical);
+        ++stats_.head_undercuts;
+    } else {
         // FIFO among duplicates: the model inserts after the newest entry
         // of the matched value, which is exactly a tail append.
-        nodes_[chain->tail].next = node;
-        chain->tail = node;
-        if (!was_empty && !undercut) ++stats_.duplicate_inserts;
-    } else {
-        Chain& fresh = chain_insert(physical);
-        fresh.head = fresh.tail = node;
-        bit_set(physical);
-    }
-
-    if (was_empty || undercut) {
-        head_logical_ = tag;
-        lead_sector_ = sector_of(physical);
-        if (undercut) ++stats_.head_undercuts;
-        if (was_empty) max_logical_ = tag;
+        if (append(physical, payload) || tag == head_logical_) ++stats_.duplicate_inserts;
     }
     max_logical_ = std::max(max_logical_, tag);
     ++sector_occupancy_[sector_of(physical)];
@@ -276,46 +389,36 @@ void FfsSorter::insert(std::uint64_t tag, std::uint32_t payload) {
     ++stats_.inserts;
 }
 
-std::optional<SortedTag> FfsSorter::peek_min() const {
-    if (empty()) return std::nullopt;
-    const Chain* chain = chain_find(head_logical_ & (range_ - 1));
-    WFQS_ASSERT(chain != nullptr);
-    return SortedTag{head_logical_, nodes_[chain->head].payload};
+void FfsSorter::refill_head(std::uint64_t head_physical) {
+    std::uint32_t slot = chain_slot(head_physical);
+    std::uint64_t next_physical = head_physical;
+    if (slot == kNull) {
+        // Last duplicate departed: its marker retires with it (the
+        // DESIGN.md refinement), and one successor scan finds the new
+        // head. The head's own value carries no leaf bit here.
+        ++stats_.marker_retirements;
+        auto succ = next_geq(head_physical);
+        if (!succ) succ = next_geq(0);  // live window wraps the seam
+        WFQS_ASSERT(succ.has_value());
+        next_physical = *succ;
+        slot = chain_slot(next_physical);
+        WFQS_ASSERT(slot != kNull);
+        head_logical_ += (next_physical - head_physical) & range_mask_;
+        advance_window(next_physical);
+    }
+    head_payload_ = pop_front(slot, next_physical);
 }
 
 std::optional<SortedTag> FfsSorter::pop_min() {
     if (empty()) return std::nullopt;
-    const std::uint64_t head_physical = head_logical_ & (range_ - 1);
-    Chain* chain = chain_find(head_physical);
-    WFQS_ASSERT(chain != nullptr);
-    const std::uint32_t node = chain->head;
-    const SortedTag result{head_logical_, nodes_[node].payload};
-    const std::uint32_t next = nodes_[node].next;
-
-    if (next == kNull) {
-        // Last duplicate departs: retire the marker immediately so the
-        // value space can be reused (the DESIGN.md refinement).
-        chain_erase(head_physical);  // invalidates `chain`
-        bit_clear(head_physical);
-        ++stats_.marker_retirements;
-    } else {
-        chain->head = next;
-    }
-    free_node(node);
+    const SortedTag result{head_logical_, head_payload_};
+    const std::uint64_t head_physical = head_logical_ & range_mask_;
     --sector_occupancy_[sector_of(head_physical)];
     --size_;
-
-    if (!empty()) {
-        std::uint64_t new_head_physical = head_physical;
-        if (next == kNull) {
-            auto succ = next_geq(head_physical);
-            if (!succ) succ = next_geq(0);  // live window wraps the seam
-            WFQS_ASSERT(succ.has_value());
-            new_head_physical = *succ;
-        }
-        head_logical_ += (new_head_physical - head_physical) & (range_ - 1);
-        advance_window(new_head_physical);
-    }
+    if (empty())
+        ++stats_.marker_retirements;
+    else
+        refill_head(head_physical);
     ++stats_.pops;
     return result;
 }
@@ -323,66 +426,36 @@ std::optional<SortedTag> FfsSorter::pop_min() {
 SortedTag FfsSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload) {
     WFQS_REQUIRE(!empty(), "insert_and_pop needs a non-empty sorter");
     validate_incoming(tag);
-    const std::uint64_t physical = tag & (range_ - 1);
-    const std::uint64_t head_physical = head_logical_ & (range_ - 1);
-    const bool undercut = tag < head_logical_;
-    const bool same_value = physical == head_physical;
-
-    Chain* head_chain = chain_find(head_physical);
-    WFQS_ASSERT(head_chain != nullptr);
-    const std::uint32_t popped_node = head_chain->head;
-    const SortedTag result{head_logical_, nodes_[popped_node].payload};
-    const std::uint32_t next = nodes_[popped_node].next;
-
-    if (!undercut && !same_value && chain_slot(physical) != kNull)
-        ++stats_.duplicate_inserts;
-
-    // Pop the departing head duplicate. The marker survives when another
-    // duplicate remains or when the incoming tag re-uses the same value
-    // (the model's reinserted_same_value case).
-    if (next != kNull) {
-        head_chain->head = next;
-    } else if (!same_value) {
-        chain_erase(head_physical);  // invalidates head_chain
-        bit_clear(head_physical);
-        ++stats_.marker_retirements;
-    }
-    free_node(popped_node);
+    payload &= payload_mask_;
+    const std::uint64_t physical = tag & range_mask_;
+    const std::uint64_t head_physical = head_logical_ & range_mask_;
+    const SortedTag result{head_logical_, head_payload_};
+    // Slot reuse: net size change is zero, so no capacity check (the
+    // model's combined list op has none either).
     --sector_occupancy_[sector_of(head_physical)];
-
-    // Store the incoming tag (slot reuse: net size change is zero, so no
-    // capacity check — the model's combined list op has none either).
-    const std::uint32_t node = alloc_node(physical, payload & payload_mask_);
-    Chain* chain = chain_find(physical);
-    if (chain != nullptr) {
-        if (same_value && next == kNull) {
-            chain->head = chain->tail = node;  // sole survivor of its value
-        } else {
-            nodes_[chain->tail].next = node;
-            chain->tail = node;
-        }
-    } else {
-        Chain& fresh = chain_insert(physical);
-        fresh.head = fresh.tail = node;
-        bit_set(physical);
-    }
     ++sector_occupancy_[sector_of(physical)];
     max_logical_ = std::max(max_logical_, tag);
 
-    if (undercut) {
+    if (tag < head_logical_) {
+        // Undercut: the previous head departs and the newcomer takes the
+        // register; the old head value's queued duplicates stay queued.
+        if (size_ == 1 || chain_slot(head_physical) == kNull) ++stats_.marker_retirements;
         head_logical_ = tag;
+        head_payload_ = payload;
         lead_sector_ = sector_of(physical);
         ++stats_.head_undercuts;
+    } else if (size_ == 1) {
+        // Singleton: the newcomer is all that remains. Its own value keeps
+        // the marker alive (the model's reinserted_same_value case).
+        if (tag != head_logical_) ++stats_.marker_retirements;
+        head_logical_ = tag;
+        head_payload_ = payload;
+        advance_window(physical);
     } else {
-        std::uint64_t new_head_physical = head_physical;
-        if (next == kNull && !same_value) {
-            auto succ = next_geq(head_physical);
-            if (!succ) succ = next_geq(0);
-            WFQS_ASSERT(succ.has_value());
-            new_head_physical = *succ;
-        }
-        head_logical_ += (new_head_physical - head_physical) & (range_ - 1);
-        advance_window(new_head_physical);
+        // Queue the newcomer (behind any equal tag, the head's included),
+        // then refill the register as a pop would.
+        if (append(physical, payload) && tag != head_logical_) ++stats_.duplicate_inserts;
+        refill_head(head_physical);
     }
     ++stats_.combined_ops;
     return result;
@@ -428,10 +501,13 @@ fault::AuditReport FfsSorter::audit() const {
         }
     }
 
-    // Walk every duplicate chain; the chain table is the ground truth
-    // (the analogue of the model's linked tag store).
-    std::vector<char> seen(capacity_, 0);
+    // Walk every duplicate chain; the chain table plus the head register
+    // is the ground truth (the analogue of the model's linked tag store).
+    const std::uint64_t pool = nodes_.size();
+    const std::uint64_t head_physical = head_logical_ & range_mask_;
+    std::vector<char> seen(static_cast<std::size_t>(pool), 0);
     std::vector<std::uint32_t> sector_counts(branching_, 0);
+    if (size_ != 0) ++sector_counts[sector_of(head_physical)];
     std::uint64_t walked = 0;
     bool chains_ok = true;
     for (const Chain& chain : chains_) {
@@ -449,12 +525,22 @@ fault::AuditReport FfsSorter::audit() const {
                   "stored value " + std::to_string(p) + " has no leaf marker",
                   true);
         }
+        if (size_ != 0 && ((p - head_physical) & range_mask_) >= window_span()) {
+            // Every queued entry lies in [head, head + span); the rest of
+            // the value space is the sector just below the head. The
+            // register carries the logical epoch, so it cannot be
+            // re-derived from the chains.
+            issue(fault::IntegrityKind::kTagOrder,
+                  "queued value " + std::to_string(p) +
+                      " lies logically below the head register",
+                  false);
+        }
         std::uint32_t n = chain.head;
         std::uint32_t last = kNull;
         std::uint64_t len = 0;
         bool broken = false;
         while (n != kNull) {
-            if (n >= capacity_ || seen[n] != 0 || len >= capacity_) {
+            if (n >= pool || seen[n] != 0 || len >= pool) {
                 issue(fault::IntegrityKind::kBrokenLink,
                       "chain for value " + std::to_string(p) +
                           " is cyclic or points outside the pool",
@@ -506,7 +592,7 @@ fault::AuditReport FfsSorter::audit() const {
     std::uint64_t free_count = 0;
     bool freelist_ok = true;
     for (std::uint32_t n = free_head_; n != kNull; n = nodes_[n].next) {
-        if (n >= capacity_ || seen[n] != 0 || free_count >= capacity_) {
+        if (n >= pool || seen[n] != 0 || free_count >= pool) {
             issue(fault::IntegrityKind::kFreeList,
                   "free list is cyclic, overlaps live chains, or points "
                   "outside the pool",
@@ -522,17 +608,20 @@ fault::AuditReport FfsSorter::audit() const {
         seen[n] = 2;
         ++free_count;
     }
-    if (chains_ok && freelist_ok && walked + free_count != capacity_) {
+    if (chains_ok && freelist_ok && walked + free_count != pool) {
         issue(fault::IntegrityKind::kFreeList,
-              "node pool leak: " + std::to_string(walked) + " live + " +
-                  std::to_string(free_count) + " free != capacity",
+              "node pool leak: " + std::to_string(walked) + " queued + " +
+                  std::to_string(free_count) + " free != pool size " +
+                  std::to_string(pool),
               true);
     }
 
-    if (chains_ok && walked != size_) {
+    // The head register holds the minimum and no pool node.
+    if (chains_ok && walked + (size_ != 0 ? 1 : 0) != size_) {
         issue(fault::IntegrityKind::kTreeInvariant,
               "occupancy register " + std::to_string(size_) +
-                  " disagrees with chain walk " + std::to_string(walked),
+                  " disagrees with chain walk " + std::to_string(walked) +
+                  " + head register",
               true);
     }
     if (chains_ok) {
@@ -543,13 +632,6 @@ fault::AuditReport FfsSorter::audit() const {
             }
         }
     }
-    if (size_ != 0 && chain_slot(head_logical_ & (range_ - 1)) == kNull) {
-        // The head register cannot be re-derived from the structures (it
-        // carries the logical epoch).
-        issue(fault::IntegrityKind::kTreeInvariant,
-              "no stored entry at the registered minimum", false);
-    }
-
     report.entries_walked = walked;
     if (!report.clean()) ++stats_.audits;
     return report;
@@ -588,19 +670,19 @@ void FfsSorter::register_metrics(obs::MetricsRegistry& registry,
 // -- debug hooks ------------------------------------------------------------
 
 std::uint32_t FfsSorter::debug_chain_head(std::uint64_t physical) const {
-    const Chain* chain = chain_find(physical);
-    return chain == nullptr ? kNull : chain->head;
+    const std::uint32_t slot = chain_slot(physical);
+    return slot == kNull ? kNull : chains_[slot].head;
 }
 
 std::uint32_t FfsSorter::debug_chain_tail(std::uint64_t physical) const {
-    const Chain* chain = chain_find(physical);
-    return chain == nullptr ? kNull : chain->tail;
+    const std::uint32_t slot = chain_slot(physical);
+    return slot == kNull ? kNull : chains_[slot].tail;
 }
 
 void FfsSorter::debug_set_chain_tail(std::uint64_t physical, std::uint32_t node) {
-    Chain* chain = chain_find(physical);
-    WFQS_ASSERT(chain != nullptr);
-    chain->tail = node;
+    const std::uint32_t slot = chain_slot(physical);
+    WFQS_ASSERT(slot != kNull);
+    chains_[slot].tail = node;
 }
 
 }  // namespace wfqs::core

@@ -10,24 +10,33 @@
 // has one bit per representable tag value, packed 64 values per word,
 // and each summary level ORs 64 lower words into one bit. A
 // successor scan is then at most one masked word test per level in each
-// direction (≤ 5 levels at the 28-bit cap), resolved with
-// `std::countr_zero` / `std::countl_zero` (BMI `tzcnt`/`lzcnt` on x86).
+// direction (six levels at the 32-bit wide32 geometry, two at paper12),
+// resolved with `std::countr_zero` / `std::countl_zero` (BMI
+// `tzcnt`/`lzcnt` on x86).
 //
-// Two structural simplifications fall out of sort-at-insert on a host:
+// Three structural simplifications fall out of sort-at-insert on a host:
 //
-//  * Insert needs no tree search at all. The bitmap *is* the sorted set, so
-//    storing a tag is: set one leaf bit (propagating into a summary word
-//    only when a word transitions 0 → 1), and append to the value's FIFO
-//    duplicate chain. The paper's insert-time lookup exists to maintain the
-//    linked list's order under O(1) SRAM access; a flat bitmap gets order
-//    for free.
-//  * Only a pop that empties a value's chain pays a search (one successor
-//    scan to find the new head). Everything else is O(1).
+//  * The minimum lives in a head register, outside the bitmap — the host
+//    analogue of the circuit serving every retrieve from the head of its
+//    sorted list. Peek is a register read; an insert into an empty sorter
+//    and a pop that leaves it empty are register writes, and most of a
+//    near-empty WFQ queue's ops are exactly those.
+//  * Insert needs no tree search at all. The bitmap *is* the sorted set of
+//    the queued (non-head) entries, so storing a tag is: set one leaf bit
+//    (propagating into a summary word only when a word transitions
+//    0 → 1), and append to the value's FIFO duplicate chain. The paper's
+//    insert-time lookup exists to maintain the linked list's order under
+//    O(1) SRAM access; a flat bitmap gets order for free.
+//  * Only a pop whose head value has no queued duplicate pays a search
+//    (one successor scan to refill the register). Everything else is O(1).
 //
-// Duplicate tags keep FIFO order through per-value chains: a fixed node
-// pool (one node per capacity slot, 12 bytes each) plus an open-addressing
-// hash table mapping physical value → {chain head, chain tail}. Memory is
-// O(capacity + range/8), not O(range × capacity).
+// Duplicate tags keep FIFO order through per-value chains: a node pool
+// (12 bytes per queued entry) plus an open-addressing hash table mapping
+// physical value → {chain head, chain tail}. Both start small and double
+// on demand up to the capacity, and the bitmap levels are paged (see
+// PagedWords), so construction and memory follow the live set rather than
+// `capacity` or the 2^W value space. A doubling is the one op whose cost
+// is not constant: at most log2(capacity) of them per sorter lifetime.
 //
 // Cycle accounting: this is a wall-clock backend. The `SorterStats` cycle
 // totals and histograms stay zero — there is no modeled clock to bill — so
@@ -35,12 +44,11 @@
 // structural burst check instead; see tests/proptest/differ.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/sorter_contract.hpp"
@@ -50,71 +58,56 @@
 
 namespace wfqs::core {
 
-/// Bitmap level storage for the FFS sorter: dense vector up to
-/// kDenseWords (every paper-scale geometry — keeps the hot successor
-/// scan a plain array access), demand-allocated 4 KiB pages above it so
-/// a 32-bit leaf level (2^26 words = 512 MiB dense) costs memory
-/// proportional to the live value set. An absent page reads as zero.
+/// Bitmap level storage for the FFS sorter: 4 KiB pages behind a
+/// two-level directory, each allocated on first write, so a level costs
+/// memory in proportion to the values it has held (a 32-bit leaf level is
+/// 2^26 words = 512 MiB dense; a flat directory over it alone would be
+/// 1 MiB to build per sorter). Absent pages and directory blocks point at
+/// shared all-zero sentinels, so a read is three dependent loads with no
+/// branch and no hash probe.
 class PagedWords {
 public:
-    static constexpr std::uint64_t kDenseWords = std::uint64_t{1} << 16;
-    static constexpr unsigned kPageShift = 9;  ///< 512 words = 4 KiB/page
+    static constexpr unsigned kPageShift = 9;   ///< 512 words = 4 KiB per page
+    static constexpr unsigned kBlockShift = 9;  ///< 512 pages per directory block
     static constexpr std::uint64_t kPageMask = (std::uint64_t{1} << kPageShift) - 1;
+    static constexpr std::uint64_t kBlockMask = (std::uint64_t{1} << kBlockShift) - 1;
 
-    explicit PagedWords(std::uint64_t words = 0)
-        : words_(words), dense_(words <= kDenseWords) {
-        if (dense_) data_.assign(static_cast<std::size_t>(words), 0);
-    }
+    explicit PagedWords(std::uint64_t words = 0);
 
     std::uint64_t size() const { return words_; }
-    bool dense() const { return dense_; }
 
     std::uint64_t get(std::uint64_t idx) const {
-        if (dense_) return data_[static_cast<std::size_t>(idx)];
-        const auto it = pages_.find(idx >> kPageShift);
-        return it == pages_.end()
-                   ? 0
-                   : it->second[static_cast<std::size_t>(idx & kPageMask)];
+        return dir_[idx >> (kPageShift + kBlockShift)][(idx >> kPageShift) & kBlockMask]
+                   [idx & kPageMask];
     }
 
-    /// Writable word (allocates the page in paged mode). Also the debug
+    /// Writable word (allocates its page on first write). Also the debug
     /// corruption hook: `level[w] ^= bit`.
     std::uint64_t& operator[](std::uint64_t idx) {
-        if (dense_) return data_[static_cast<std::size_t>(idx)];
-        auto& page = pages_[idx >> kPageShift];
-        if (page.empty()) page.assign(std::size_t{1} << kPageShift, 0);
-        return page[static_cast<std::size_t>(idx & kPageMask)];
+        std::uint64_t* page =
+            dir_[idx >> (kPageShift + kBlockShift)][(idx >> kPageShift) & kBlockMask];
+        if (page == zero_page_) page = allocate_page(idx);
+        return page[idx & kPageMask];
     }
 
-    void clear() {
-        if (dense_)
-            std::fill(data_.begin(), data_.end(), 0);
-        else
-            pages_.clear();
-    }
-
-    /// Visit every nonzero word (sound in paged mode because only writes
-    /// allocate pages). Unordered across pages.
+    /// Visit every nonzero word in ascending order (only writes allocate
+    /// pages, so skipping the sentinels skips only zeros).
     void for_each_nonzero(
-        const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-        if (dense_) {
-            for (std::uint64_t w = 0; w < words_; ++w)
-                if (data_[static_cast<std::size_t>(w)] != 0)
-                    fn(w, data_[static_cast<std::size_t>(w)]);
-            return;
-        }
-        for (const auto& [page_idx, page] : pages_) {
-            const std::uint64_t base = page_idx << kPageShift;
-            for (std::size_t i = 0; i < page.size(); ++i)
-                if (page[i] != 0) fn(base + i, page[i]);
-        }
-    }
+        const std::function<void(std::uint64_t, std::uint64_t)>& fn) const;
 
 private:
+    static constexpr std::uint64_t kPageWords = std::uint64_t{1} << kPageShift;
+    static constexpr std::uint64_t kBlockPages = std::uint64_t{1} << kBlockShift;
+
+    alignas(64) static inline std::uint64_t zero_page_[kPageWords] = {};
+    static std::uint64_t** zero_block();
+
+    std::uint64_t* allocate_page(std::uint64_t idx);
+
     std::uint64_t words_ = 0;
-    bool dense_ = true;
-    std::vector<std::uint64_t> data_;
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> pages_;
+    std::vector<std::uint64_t**> dir_;  ///< one entry per block, sentinel when absent
+    std::vector<std::unique_ptr<std::uint64_t*[]>> blocks_;
+    std::vector<std::unique_ptr<std::uint64_t[]>> pages_;
 };
 
 class FfsSorter {
@@ -137,7 +130,10 @@ public:
     /// std::invalid_argument on a window violation — before any mutation.
     void insert(std::uint64_t tag, std::uint32_t payload);
 
-    std::optional<SortedTag> peek_min() const;
+    std::optional<SortedTag> peek_min() const {
+        if (empty()) return std::nullopt;
+        return SortedTag{head_logical_, head_payload_};
+    }
     std::optional<SortedTag> pop_min();
 
     /// §III-C combined store + serve; precondition: non-empty (throws
@@ -146,9 +142,10 @@ public:
 
     // -- integrity ---------------------------------------------------------
 
-    /// Cross-check bitmap levels, duplicate chains, the free list, and the
-    /// per-sector occupancy counters against each other. Pure inspection;
-    /// never throws; only findings bump the `audits` counter. There is no
+    /// Cross-check bitmap levels, duplicate chains, the free list, the head
+    /// register and the per-sector occupancy counters against each other.
+    /// Pure inspection; never throws; only findings bump the `audits`
+    /// counter. There is no
     /// repair path: this backend has no modeled memory and no fault
     /// injector, so only the corruption hooks below can damage it — the
     /// audit is the differ's invariant check.
@@ -174,7 +171,9 @@ public:
 
     // -- host-native search primitives (fuzzed directly by tests) ----------
 
-    /// Smallest set value ≥ `physical`, not wrapping past the top.
+    /// Smallest set value ≥ `physical`, not wrapping past the top. The
+    /// bitmap holds the queued values: every live value but the head's,
+    /// unless the head has queued duplicates.
     std::optional<std::uint64_t> next_geq(std::uint64_t physical) const;
     /// Largest set value ≤ `physical` (the paper's "primary match").
     std::optional<std::uint64_t> closest_leq(std::uint64_t physical) const;
@@ -192,6 +191,7 @@ public:
         return nodes_[node].value;
     }
     std::uint32_t& debug_free_head() { return free_head_; }
+    std::uint64_t& debug_head_logical() { return head_logical_; }
     std::vector<std::uint32_t>& debug_sector_occupancy() {
         return sector_occupancy_;
     }
@@ -214,9 +214,12 @@ private:
 
     void validate_incoming(std::uint64_t logical) const;
     void advance_window(std::uint64_t new_head_physical);
+    /// The head at `head_physical` has departed and entries remain: load
+    /// the register from the head value's chain, else from the successor.
+    void refill_head(std::uint64_t head_physical);
 
     unsigned sector_of(std::uint64_t physical) const {
-        return static_cast<unsigned>(physical / sector_size_);
+        return static_cast<unsigned>(physical >> sector_shift_);
     }
 
     // bitmap
@@ -225,34 +228,49 @@ private:
     bool bit_test(std::uint64_t p) const;
 
     // duplicate chains
+    std::uint32_t home_slot(std::uint64_t p) const;
     std::uint32_t chain_slot(std::uint64_t p) const;  ///< kNull when absent
-    Chain* chain_find(std::uint64_t p);
-    const Chain* chain_find(std::uint64_t p) const;
-    Chain& chain_insert(std::uint64_t p);  ///< precondition: absent, has room
-    void chain_erase(std::uint64_t p);
+    /// Slot of the chain for `p`, created with its leaf marker when absent
+    /// (`fresh` says which).
+    std::uint32_t chain_for(std::uint64_t p, bool& fresh);
+    void grow_chains();
+    void erase_slot(std::uint32_t slot);
+    /// Queue an entry behind every entry of its value; true when the value
+    /// already had queued entries.
+    bool append(std::uint64_t p, std::uint32_t payload);
+    /// Queue an entry ahead of every entry of its value.
+    void push_front(std::uint64_t p, std::uint32_t payload);
+    /// Dequeue the oldest entry of the chain in `slot` (value `p`),
+    /// retiring the chain and its leaf marker when it empties.
+    std::uint32_t pop_front(std::uint32_t slot, std::uint64_t p);
 
     std::uint32_t alloc_node(std::uint64_t value, std::uint32_t payload);
     void free_node(std::uint32_t n);
 
     Config config_;
     std::uint64_t range_;        ///< 2^tag_bits
+    std::uint64_t range_mask_;   ///< range − 1
     unsigned branching_;         ///< root sectors (Fig. 6)
     std::uint64_t sector_size_;  ///< range / branching
+    unsigned sector_shift_;      ///< log2(sector_size_)
     std::size_t capacity_;
     std::uint32_t payload_mask_;
-    std::uint32_t slot_mask_;  ///< chain-table size − 1 (power of two)
 
     /// levels_[0] is the leaf bitmap (one bit per value); each higher level
     /// summarises 64 words of the one below; the top level is one word.
-    /// Wide geometries page the big lower levels (see PagedWords).
+    /// Holds the queued entries' values only (not the head register's).
     std::vector<PagedWords> levels_;
-    std::vector<Node> nodes_;
-    std::vector<Chain> chains_;
+    std::vector<Node> nodes_;    ///< grows by doubling up to capacity_
+    std::vector<Chain> chains_;  ///< power-of-two size, at most a quarter full
+    std::uint32_t slot_mask_ = 0;  ///< chains_.size() − 1
+    std::uint32_t chain_count_ = 0;
     std::uint32_t free_head_ = kNull;
-    std::vector<std::uint32_t> sector_occupancy_;  ///< live entries per sector
+    /// Live entries per sector, the head register included.
+    std::vector<std::uint32_t> sector_occupancy_;
 
-    std::size_t size_ = 0;
+    std::size_t size_ = 0;  ///< the head register plus the queued entries
     std::uint64_t head_logical_ = 0;
+    std::uint32_t head_payload_ = 0;
     std::uint64_t max_logical_ = 0;
     unsigned lead_sector_ = 0;
     mutable SorterStats stats_;  ///< mutable: audit() is const but counts findings

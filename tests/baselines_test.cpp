@@ -387,5 +387,33 @@ TEST(PayloadWidth, FfsQueueKeepsAll32Bits) {
     EXPECT_EQ(q->pop_min(), (QueueEntry{6, 0xFFFF'FFFFu}));
 }
 
+// A refused insert is not an insert: the op bracket must not count it, on
+// either backend, whichever precondition refuses it.
+TEST(QueueStatsOnRefusal, RefusedInsertsCountNothing) {
+    for (const auto backend : {SorterBackend::kModel, SorterBackend::kFfs}) {
+        SCOPED_TRACE(backend_name(backend));
+        QueueParams params{12, 4};  // range 4096, window span 3840
+        params.backend = backend;
+        auto q = make_tag_queue(QueueKind::MultibitTree, params);
+        const auto expect_unchanged = [&](const QueueStats& before) {
+            EXPECT_EQ(q->stats().inserts, before.inserts);
+            EXPECT_EQ(q->stats().accesses_total, before.accesses_total);
+            EXPECT_EQ(q->stats().worst_insert_accesses, before.worst_insert_accesses);
+        };
+        q->insert(10, 1);
+        q->insert(11, 2);
+        const QueueStats before_window = q->stats();
+        EXPECT_THROW(q->insert(10 + 4000, 3), std::invalid_argument);
+        expect_unchanged(before_window);
+        q->insert(12, 3);
+        q->insert(13, 4);
+        const QueueStats before_full = q->stats();
+        EXPECT_THROW(q->insert(14, 5), std::overflow_error);
+        expect_unchanged(before_full);
+        EXPECT_EQ(q->size(), 4u);
+        EXPECT_EQ(q->stats().inserts, 4u);
+    }
+}
+
 }  // namespace
 }  // namespace wfqs::baselines

@@ -1,7 +1,8 @@
 // FfsSorter unit and conformance tests: edge geometries the bitmap has
 // to get right (single-level trees, branching that is not a multiple of
 // the 64-bit word, wrap-window boundaries, full-capacity spill), the
-// search primitives against a std::set reference, audit detection of
+// search primitives against a std::set reference, the head register's
+// undercut, combined-op and seam cases, audit detection of
 // hand-planted corruption, the committed regression corpus through the
 // three-way differ, and the ffs-backed TagQueue in lockstep with the
 // cycle-modeled one.
@@ -148,33 +149,132 @@ TEST(FfsSorter, SearchPrimitivesMatchSetReference) {
         FfsSorter s(cfg);
         const std::uint64_t range = std::uint64_t{1} << cfg.geometry.tag_bits();
         Rng rng(0x5EED + range);
-        std::set<std::uint64_t> ref;
+        std::set<std::uint64_t> live;
         // Grow via inserts (physical == logical while nothing wraps).
-        while (ref.size() < std::min<std::size_t>(s.capacity(), 48)) {
+        while (live.size() < std::min<std::size_t>(s.capacity() - 1, 48)) {
             const std::uint64_t v = rng.next_below(std::min<std::uint64_t>(
                 range, s.window_span()));
-            if (ref.insert(v).second) s.insert(v, 0);
+            if (live.insert(v).second) s.insert(v, 0);
         }
-        for (std::uint64_t probe = 0; probe < range; ++probe) {
-            const auto geq = s.next_geq(probe);
-            const auto it = ref.lower_bound(probe);
-            if (it == ref.end()) {
-                EXPECT_FALSE(geq.has_value()) << "probe " << probe;
-            } else {
-                ASSERT_TRUE(geq.has_value()) << "probe " << probe;
-                EXPECT_EQ(*geq, *it) << "probe " << probe;
+        // The bitmap holds every live value but the head's...
+        std::set<std::uint64_t> ref = live;
+        ref.erase(ref.begin());
+        const auto check = [&] {
+            for (std::uint64_t probe = 0; probe < range; ++probe) {
+                const auto geq = s.next_geq(probe);
+                const auto it = ref.lower_bound(probe);
+                if (it == ref.end()) {
+                    EXPECT_FALSE(geq.has_value()) << "probe " << probe;
+                } else {
+                    ASSERT_TRUE(geq.has_value()) << "probe " << probe;
+                    EXPECT_EQ(*geq, *it) << "probe " << probe;
+                }
+                const auto leq = s.closest_leq(probe);
+                auto rit = ref.upper_bound(probe);
+                if (rit == ref.begin()) {
+                    EXPECT_FALSE(leq.has_value()) << "probe " << probe;
+                } else {
+                    --rit;
+                    ASSERT_TRUE(leq.has_value()) << "probe " << probe;
+                    EXPECT_EQ(*leq, *rit) << "probe " << probe;
+                }
             }
-            const auto leq = s.closest_leq(probe);
-            auto rit = ref.upper_bound(probe);
-            if (rit == ref.begin()) {
-                EXPECT_FALSE(leq.has_value()) << "probe " << probe;
-            } else {
-                --rit;
-                ASSERT_TRUE(leq.has_value()) << "probe " << probe;
-                EXPECT_EQ(*leq, *rit) << "probe " << probe;
-            }
-        }
+        };
+        check();
+        // ...until the head has a queued duplicate.
+        s.insert(*live.begin(), 1);
+        ref.insert(*live.begin());
+        check();
     }
+}
+
+// --- the head register --------------------------------------------------
+
+TEST(FfsHeadRegister, UndercutKeepsQueuedDuplicatesFifo) {
+    const auto cfg = make_config(3, 3, 32);
+    FfsSorter s(cfg);
+    s.insert(20, 1);
+    s.insert(20, 2);
+    s.insert(20, 3);
+    s.insert(15, 4);  // undercut: the register's 20/1 rejoins ahead of 20/2
+    EXPECT_TRUE(s.audit().clean());
+    EXPECT_EQ(s.stats().head_undercuts, 1u);
+    EXPECT_EQ(s.stats().duplicate_inserts, 2u);
+    for (const std::uint32_t payload : {4u, 1u, 2u, 3u}) {
+        const auto popped = s.pop_min();
+        ASSERT_TRUE(popped.has_value());
+        EXPECT_EQ(popped->payload, payload);
+        EXPECT_TRUE(s.audit().clean());
+    }
+    EXPECT_TRUE(s.empty());
+    // The same stream, counters included, against the cycle model.
+    using proptest::OpKind;
+    const proptest::OpSeq ops = {{OpKind::kInsert, 20}, {OpKind::kInsert, 0},
+                                 {OpKind::kInsert, 0},  {OpKind::kInsert, -5},
+                                 {OpKind::kPop, 0},     {OpKind::kPop, 0},
+                                 {OpKind::kPop, 0},     {OpKind::kPop, 0}};
+    proptest::DiffOptions every_op;
+    every_op.audit_every = 1;
+    EXPECT_EQ(proptest::diff_ffs_sorter(ops, cfg, every_op), std::nullopt);
+}
+
+TEST(FfsHeadRegister, CombinedOpOnSingletonAndOnHeadValue) {
+    const auto cfg = make_config(3, 3, 32);
+    FfsSorter s(cfg);
+    s.insert(7, 1);
+    // Singleton, larger tag: the register is simply rewritten.
+    EXPECT_EQ(s.insert_and_pop(9, 2), (core::SortedTag{7, 1}));
+    EXPECT_EQ(s.peek_min(), (core::SortedTag{9, 2}));
+    EXPECT_EQ(s.stats().marker_retirements, 1u);
+    // Singleton, same value: the marker survives.
+    EXPECT_EQ(s.insert_and_pop(9, 3), (core::SortedTag{9, 2}));
+    EXPECT_EQ(s.stats().marker_retirements, 1u);
+    // Singleton, undercut: the newcomer takes the register.
+    EXPECT_EQ(s.insert_and_pop(5, 4), (core::SortedTag{9, 3}));
+    EXPECT_EQ(s.peek_min(), (core::SortedTag{5, 4}));
+    EXPECT_EQ(s.stats().head_undercuts, 1u);
+    EXPECT_EQ(s.size(), 1u);
+    EXPECT_TRUE(s.audit().clean());
+
+    // The head's own value with a queued duplicate: the newcomer queues
+    // behind it, and neither counts as a duplicate insert nor retires.
+    s.insert(5, 5);
+    s.insert(12, 6);
+    EXPECT_EQ(s.insert_and_pop(5, 7), (core::SortedTag{5, 4}));
+    EXPECT_TRUE(s.audit().clean());
+    for (const auto want : {core::SortedTag{5, 5}, core::SortedTag{5, 7},
+                            core::SortedTag{12, 6}})
+        EXPECT_EQ(s.pop_min(), want);
+    EXPECT_EQ(s.stats().duplicate_inserts, 1u);
+
+    using proptest::OpKind;
+    const proptest::OpSeq ops = {
+        {OpKind::kInsert, 7},   {OpKind::kCombined, 2}, {OpKind::kCombined, 0},
+        {OpKind::kCombined, -4}, {OpKind::kInsert, 0},  {OpKind::kInsert, 7},
+        {OpKind::kCombined, 0}, {OpKind::kPop, 0},      {OpKind::kPop, 0},
+        {OpKind::kPop, 0}};
+    proptest::DiffOptions every_op;
+    every_op.audit_every = 1;
+    EXPECT_EQ(proptest::diff_ffs_sorter(ops, cfg, every_op), std::nullopt);
+}
+
+TEST(FfsHeadRegister, Wide32PopAcrossTheSeam) {
+    FfsSorter::Config cfg;
+    cfg.geometry = tree::TreeGeometry::wide32();
+    cfg.capacity = 16;
+    FfsSorter s(cfg);
+    ASSERT_EQ(s.debug_level_count(), 6u);
+    const std::uint64_t seam = std::uint64_t{1} << 32;
+    const std::vector<std::uint64_t> tags = {seam - 3, seam - 1, seam + 2, seam + 5};
+    for (std::size_t i = tags.size(); i-- > 0;)  // arrive in reverse: undercuts
+        s.insert(tags[i], static_cast<std::uint32_t>(i));
+    // The successor of physical 2^32 - 1 is physical 2, past the seam.
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        EXPECT_EQ(s.pop_min(), (core::SortedTag{tags[i], static_cast<std::uint32_t>(i)}));
+        EXPECT_TRUE(s.audit().clean());
+    }
+    EXPECT_EQ(s.stats().sector_invalidations, 1u);  // sector 3 -> sector 0
+    EXPECT_TRUE(s.empty());
 }
 
 // --- integrity: hand-planted corruption via the debug hooks -------------
@@ -219,8 +319,9 @@ TEST(FfsSorterIntegrity, FlagsLeafWithoutChain) {
 
 TEST(FfsSorterIntegrity, FlagsStaleTailAndNodeValue) {
     FfsSorter s(make_config(3, 3, 32));
-    s.insert(5, 1);
-    s.insert(5, 2);  // two-node chain at value 5
+    s.insert(5, 1);  // the head register
+    s.insert(5, 2);
+    s.insert(5, 3);  // two-node chain at value 5
     const std::uint32_t head = s.debug_chain_head(5);
     const std::uint32_t tail = s.debug_chain_tail(5);
     ASSERT_NE(head, tail);
@@ -230,6 +331,18 @@ TEST(FfsSorterIntegrity, FlagsStaleTailAndNodeValue) {
     ASSERT_FALSE(report.clean());
     EXPECT_TRUE(report.fully_repairable());
     EXPECT_GE(report.count(fault::IntegrityKind::kBrokenLink), 1u);
+    EXPECT_GE(report.count(fault::IntegrityKind::kTagOrder), 1u);
+}
+
+TEST(FfsSorterIntegrity, FlagsQueuedEntryBelowHead) {
+    FfsSorter s(make_config(3, 3, 32));  // range 512: 8 sectors of 64
+    s.insert(5, 1);
+    s.insert(9, 2);
+    ASSERT_TRUE(s.audit().clean());
+    s.debug_head_logical() = 12;  // the queued 9 now lies below the head
+    const auto report = s.audit();
+    ASSERT_FALSE(report.clean());
+    EXPECT_FALSE(report.fully_repairable());
     EXPECT_GE(report.count(fault::IntegrityKind::kTagOrder), 1u);
 }
 

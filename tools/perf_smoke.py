@@ -22,6 +22,12 @@ Default mode checks (all on *modeled*, machine-independent metrics):
      least --ffs-speedup-floor (default 3.0). Both backends are measured
      in the same process on the same stream, so the ratio is robust to
      machine speed even though each side is wall-clock.
+  5. at each geometry's largest live set N in line_rate's hold-model
+     sweep, host.sweep.<geom>.n<N>.ffs_ns_per_op must not exceed
+     host.sweep.<geom>.n<N>.heap_ns_per_op: the FfsSorter must beat the
+     binary heap where its bitmap is meant to win. Both run in the same
+     process on the same stream, like the ratio in 4; a committed
+     artifact with a sweep requires one in the fresh run.
 
 Optional per-backend absolute floors (machine-specific, off by default):
 --model-floor / --ffs-floor gate host.model.ops_per_sec and
@@ -58,12 +64,13 @@ a transient stall on a shared runner inflates one run, not every run.
 
 host.* *wall-clock* gauges (elapsed_ms, ops_per_sec) vary machine to
 machine and are skipped by the default mode's name scan; the same-process
-ffs/model ratio above is the one host.* value that gates. Exits 0 when
+ffs/model and ffs/heap ratios above are the only host.* values that gate. Exits 0 when
 every check passes, 1 otherwise.
 """
 
 import argparse
 import json
+import re
 import sys
 
 
@@ -307,6 +314,31 @@ def main():
                             "its edge over the cycle model)")
         else:
             print(f"  {gate}: {ratio:.2f} (floor {args.ffs_speedup_floor:.2f})")
+
+    sweep = re.compile(r"host\.sweep\.(\w+)\.n(\d+)\.ffs_ns_per_op")
+    largest = {}
+    for name in fresh:
+        m = sweep.fullmatch(name)
+        if m:
+            geom, n = m.group(1), int(m.group(2))
+            largest[geom] = max(n, largest.get(geom, n))
+    if any(sweep.fullmatch(name) for name in committed) and not largest:
+        failures.append("host.sweep.*: committed artifact has the live-set "
+                        "sweep, fresh run has none")
+    for geom, n in sorted(largest.items()):
+        key = f"host.sweep.{geom}.n{n}"
+        ffs = fresh[f"{key}.ffs_ns_per_op"]
+        heap = fresh.get(f"{key}.heap_ns_per_op")
+        checked += 1
+        if heap is None:
+            failures.append(f"{key}.heap_ns_per_op: missing from fresh run")
+        elif ffs > heap:
+            failures.append(f"{key}: ffs {ffs:.1f} ns/op > heap {heap:.1f} "
+                            "ns/op (ffs lost to the binary heap at its "
+                            "largest live set)")
+        else:
+            print(f"  {key}: ffs {ffs:.1f} <= heap {heap:.1f} ns/op "
+                  f"({heap / ffs:.2f}x)")
 
     for floor, name in ((args.model_floor, "host.model.ops_per_sec"),
                         (args.ffs_floor, "host.ffs.ops_per_sec")):
