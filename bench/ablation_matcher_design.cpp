@@ -82,7 +82,8 @@ void node_width_sweep(obs::MetricsRegistry& reg) {
         std::string label;
         double worst = 0.0, best = 1e9;
         for (const unsigned b : p) {
-            label += (label.empty() ? "" : "/") + std::to_string(b);
+            if (!label.empty()) label += '/';
+            label += std::to_string(b);
             const double d =
                 build_matcher(MatcherKind::SelectLookahead, 1u << b)
                     .netlist()

@@ -53,7 +53,10 @@ std::string TextTable::render() const {
     };
 
     std::string sep;
-    for (auto w : widths) sep += "+" + std::string(w + 2, '-');
+    for (auto w : widths) {
+        sep += '+';
+        sep.append(w + 2, '-');
+    }
     sep += "+\n";
 
     std::string out = sep + render_row(headers_) + sep;

@@ -34,7 +34,10 @@ struct PrefixGuard {
 }  // namespace
 
 ShardedSorter::ShardedSorter(const Config& config, hw::Simulation& sim)
-    : config_(config), sim_(sim), clock_(sim.clock()) {
+    : clock_(sim.clock()),
+      interleave_(config.select == BankSelect::kTagInterleave),
+      bank_config_(config.bank),
+      sim_(sim) {
     WFQS_REQUIRE(config.num_banks >= 1 &&
                      std::has_single_bit(std::uint64_t{config.num_banks}),
                  "bank count must be a power of two");
@@ -62,38 +65,25 @@ ShardedSorter::ShardedSorter(const Config& config, hw::Simulation& sim)
             if (config.num_banks > 1)
                 sim.set_sram_name_prefix(guard.outer + "bank" + std::to_string(i) +
                                          ".");
-            banks_.push_back(std::make_unique<TagSorter>(config.bank, sim));
+            banks_.emplace_back(std::make_unique<TagSorter>(config.bank, sim));
         }
     }
-
-    bank_state_.assign(config.num_banks, BankState::kActive);
     rebuild_routing();
-    head_cache_.resize(config.num_banks);
-    bank_free_at_.assign(config.num_banks, 0);
-    bank_ops_.assign(config.num_banks, 0);
-    bank_wait_cycles_.assign(config.num_banks, 0);
 }
 
 void ShardedSorter::rebuild_routing() {
     routing_.clear();
     for (unsigned i = 0; i < banks_.size(); ++i)
-        if (bank_state_[i] == BankState::kActive) routing_.push_back(i);
+        if (banks_[i].state == BankState::kActive) routing_.push_back(i);
     WFQS_ASSERT(!routing_.empty());
 }
 
-unsigned ShardedSorter::select_bank(std::uint64_t tag, std::uint64_t flow_key) const {
+unsigned ShardedSorter::flow_bank_for(std::uint64_t flow_key) const {
     // Before any reshard routing_ is {0..N-1} with N a power of two, so
     // the modulo is exactly the historical `mix64(flow_key) & mask_` —
     // bit-identical placements for a never-resharded sorter.
-    if (config_.select == BankSelect::kFlowHash)
-        return routing_[mix64(flow_key) % routing_.size()];
-    return static_cast<unsigned>(tag & mask_);
-}
-
-unsigned ShardedSorter::bank_for(std::uint64_t tag, std::uint64_t flow_key) const {
-    const unsigned primary = select_bank(tag, flow_key);
-    if (config_.select != BankSelect::kFlowHash || !banks_[primary]->full())
-        return primary;
+    const unsigned primary = routing_[mix64(flow_key) % routing_.size()];
+    if (!banks_[primary].sorter->full()) return primary;
     // Capacity spill: the primary bank is full, so probe the other active
     // banks in deterministic (ascending physical index, starting after the
     // primary) order for room. Flow-hash skew can then only be rejected on
@@ -103,48 +93,68 @@ unsigned ShardedSorter::bank_for(std::uint64_t tag, std::uint64_t flow_key) cons
     const unsigned n = num_banks();
     for (unsigned k = 1; k < n; ++k) {
         const unsigned cand = (primary + k) % n;
-        if (bank_state_[cand] != BankState::kActive) continue;
-        if (!banks_[cand]->full()) return cand;
+        if (banks_[cand].state != BankState::kActive) continue;
+        if (!banks_[cand].sorter->full()) return cand;
     }
     return primary;
 }
 
 std::uint64_t ShardedSorter::to_local(std::uint64_t tag) const {
-    return config_.select == BankSelect::kTagInterleave ? tag >> shift_ : tag;
+    return interleave_ ? tag >> shift_ : tag;
 }
 
 std::uint64_t ShardedSorter::to_global(std::uint64_t local, unsigned bank) const {
-    return config_.select == BankSelect::kTagInterleave ? (local << shift_) | bank
-                                                        : local;
+    return interleave_ ? (local << shift_) | bank : local;
 }
 
 void ShardedSorter::refresh_head(unsigned i) {
-    const auto head = banks_[i]->peek_min();
-    head_cache_[i] = head ? std::optional<std::uint64_t>(to_global(head->tag, i))
-                          : std::nullopt;
-    // Comparator sweep over the bank head registers. Ascending scan with a
-    // strict compare keeps ties (possible under kFlowHash only) on the
-    // lowest bank index, deterministically. Draining banks still
-    // participate — their entries must keep departing in global order —
-    // and detached banks are empty, so their nullopt heads drop out.
+    Bank& bank = banks_[i];
+    size_ = size_ - bank.size + bank.sorter->size();
+    bank.size = bank.sorter->size();
+    const std::optional<std::uint64_t> local = bank.sorter->min_tag();
     ++stats_.head_merge_updates;
+    // The winner is the smallest head, ties (possible under kFlowHash
+    // only) on the lowest bank index. Only bank i's head changed, so it
+    // wins outright when it beats the current winner (or is the winner
+    // and did not rise), and a loser's change leaves the winner alone.
+    const int bi = static_cast<int>(i);
+    if (local) {
+        const std::uint64_t head = to_global(*local, i);
+        bank.head = head;
+        if (min_bank_ < 0 || head < min_head_ || (head == min_head_ && bi <= min_bank_)) {
+            min_bank_ = bi;
+            min_head_ = head;
+            return;
+        }
+    } else {
+        bank.head.reset();
+    }
+    if (bi == min_bank_) sweep_heads();
+}
+
+void ShardedSorter::sweep_heads() {
+    // The winner's head rose or emptied: sweep the cached head registers.
+    // Ascending scan with a strict compare keeps ties on the lowest index.
+    // Draining banks still participate — their entries must keep
+    // departing in global order — and detached banks are empty, so their
+    // nullopt heads drop out.
     min_bank_ = -1;
-    std::uint64_t best = 0;
-    for (unsigned b = 0; b < head_cache_.size(); ++b) {
-        if (!head_cache_[b]) continue;
-        if (min_bank_ < 0 || *head_cache_[b] < best) {
-            best = *head_cache_[b];
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        if (!banks_[b].head) continue;
+        if (min_bank_ < 0 || *banks_[b].head < min_head_) {
+            min_head_ = *banks_[b].head;
             min_bank_ = static_cast<int>(b);
         }
     }
 }
 
-std::uint64_t ShardedSorter::engage_bank(unsigned bank, std::uint64_t arrival) {
-    const std::uint64_t issue = std::max(arrival, bank_free_at_[bank]);
+std::uint64_t ShardedSorter::engage_bank(unsigned i, std::uint64_t arrival) {
+    Bank& bank = banks_[i];
+    const std::uint64_t issue = std::max(arrival, bank.free_at);
     stats_.bank_wait_cycles += issue - arrival;
-    bank_wait_cycles_[bank] += issue - arrival;
-    bank_free_at_[bank] = issue + ii_;
-    ++bank_ops_[bank];
+    bank.wait_cycles += issue - arrival;
+    bank.free_at = issue + ii_;
+    ++bank.ops;
     return issue;
 }
 
@@ -163,7 +173,7 @@ void ShardedSorter::insert(std::uint64_t tag, std::uint32_t payload,
                            std::uint64_t flow_key) {
     const unsigned b = bank_for(tag, flow_key);
     const std::uint64_t t0 = clock_.now();
-    banks_[b]->insert(to_local(tag), payload);
+    banks_[b].sorter->insert(to_local(tag), payload);
     finish_op(engage_bank(b, arrivals_), clock_.now() - t0);
     ++stats_.inserts;
     refresh_head(b);
@@ -172,7 +182,7 @@ void ShardedSorter::insert(std::uint64_t tag, std::uint32_t payload,
 
 std::optional<SortedTag> ShardedSorter::peek_min() const {
     if (min_bank_ < 0) return std::nullopt;
-    const auto head = banks_[static_cast<unsigned>(min_bank_)]->peek_min();
+    const auto head = banks_[static_cast<unsigned>(min_bank_)].sorter->peek_min();
     WFQS_ASSERT(head.has_value());
     return SortedTag{to_global(head->tag, static_cast<unsigned>(min_bank_)),
                      head->payload};
@@ -182,7 +192,7 @@ std::optional<SortedTag> ShardedSorter::pop_min() {
     if (min_bank_ < 0) return std::nullopt;
     const unsigned b = static_cast<unsigned>(min_bank_);
     const std::uint64_t t0 = clock_.now();
-    const auto popped = banks_[b]->pop_min();
+    const auto popped = banks_[b].sorter->pop_min();
     WFQS_ASSERT(popped.has_value());
     finish_op(engage_bank(b, arrivals_), clock_.now() - t0);
     ++stats_.pops;
@@ -201,7 +211,7 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
     if (a == b) {
         // The incoming tag targets the departing minimum's bank: the
         // paper's fused four-cycle store + serve, one engagement.
-        const SortedTag local = banks_[a]->insert_and_pop(to_local(tag), payload);
+        const SortedTag local = banks_[a].sorter->insert_and_pop(to_local(tag), payload);
         result = SortedTag{to_global(local.tag, a), local.payload};
         ++stats_.same_bank_combined;
         finish_op(engage_bank(a, arrivals_), clock_.now() - t0);
@@ -211,8 +221,8 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
         // mutating, so a rejected tag leaves every bank intact — and it
         // cannot disturb bank b's head, so the old global minimum still
         // departs (identical serve-then-store semantics to one bank).
-        banks_[a]->insert(to_local(tag), payload);
-        const auto popped = banks_[b]->pop_min();
+        banks_[a].sorter->insert(to_local(tag), payload);
+        const auto popped = banks_[b].sorter->pop_min();
         WFQS_ASSERT(popped.has_value());
         result = SortedTag{to_global(popped->tag, b), popped->payload};
         ++stats_.cross_bank_combined;
@@ -228,37 +238,30 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
     return result;
 }
 
-std::size_t ShardedSorter::size() const {
-    std::size_t n = 0;
-    for (const auto& b : banks_) n += b->size();
-    return n;
-}
-
 bool ShardedSorter::full() const {
-    if (config_.select == BankSelect::kFlowHash) {
+    if (!interleave_) {
         // Exact: inserts spill around a capacity-full bank, so rejection
         // on capacity needs every routable bank full.
         for (const unsigned i : routing_)
-            if (!banks_[i]->full()) return false;
+            if (!banks_[i].sorter->full()) return false;
         return true;
     }
     // Interleaved placement is structural (tag mod N): one full bank can
     // reject the next insert even while others have room.
-    for (const auto& b : banks_)
-        if (b->full()) return true;
+    for (const Bank& b : banks_)
+        if (b.sorter->full()) return true;
     return false;
 }
 
 std::size_t ShardedSorter::capacity() const {
     std::size_t n = 0;
-    for (const unsigned i : routing_) n += banks_[i]->capacity();
+    for (const unsigned i : routing_) n += banks_[i].sorter->capacity();
     return n;
 }
 
 std::uint64_t ShardedSorter::window_span() const {
-    const std::uint64_t bank_span = banks_[0]->window_span();
-    return config_.select == BankSelect::kTagInterleave ? bank_span << shift_
-                                                        : bank_span;
+    const std::uint64_t bank_span = banks_[0].sorter->window_span();
+    return interleave_ ? bank_span << shift_ : bank_span;
 }
 
 std::uint64_t ShardedSorter::modeled_cycles() const { return makespan_; }
@@ -285,13 +288,8 @@ unsigned ShardedSorter::grow_bank() {
         // Always scoped: even a sorter born with one (unscoped) bank names
         // online additions "bank<i>." — existing SRAM names never change.
         sim_.set_sram_name_prefix(guard.outer + "bank" + std::to_string(idx) + ".");
-        banks_.push_back(std::make_unique<TagSorter>(config_.bank, sim_));
+        banks_.emplace_back(std::make_unique<TagSorter>(bank_config_, sim_));
     }
-    bank_state_.push_back(BankState::kActive);
-    head_cache_.emplace_back(std::nullopt);
-    bank_free_at_.push_back(0);
-    bank_ops_.push_back(0);
-    bank_wait_cycles_.push_back(0);
     rebuild_routing();
     refresh_head(idx);
     return idx;
@@ -299,30 +297,30 @@ unsigned ShardedSorter::grow_bank() {
 
 bool ShardedSorter::fence_bank(unsigned i) {
     if (!reshard_supported() || i >= banks_.size()) return false;
-    if (bank_state_[i] != BankState::kActive) return false;
+    if (banks_[i].state != BankState::kActive) return false;
     if (routing_.size() <= 1) return false;  // the routing table may not empty
-    bank_state_[i] = BankState::kDraining;
+    banks_[i].state = BankState::kDraining;
     rebuild_routing();
     return true;
 }
 
 bool ShardedSorter::maybe_detach(unsigned i) {
     if (i >= banks_.size()) return false;
-    if (bank_state_[i] != BankState::kDraining || !banks_[i]->empty()) return false;
+    if (banks_[i].state != BankState::kDraining || !banks_[i].sorter->empty()) return false;
     // Tombstone: the TagSorter (and its SRAM inventory) stays allocated so
     // bank indices, metric names, and the Table II area model stay stable.
-    bank_state_[i] = BankState::kDetached;
+    banks_[i].state = BankState::kDetached;
     return true;
 }
 
 std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
     WFQS_ASSERT(reshard_supported());  // interleave entries cannot move banks
-    if (from >= banks_.size() || banks_[from]->empty()) return std::nullopt;
-    const auto head = banks_[from]->peek_min();
+    if (from >= banks_.size() || banks_[from].sorter->empty()) return std::nullopt;
+    const auto head = banks_[from].sorter->peek_min();
     unsigned dest = num_banks();
     for (const unsigned cand : routing_) {
         if (cand == from) continue;
-        if (banks_[cand]->can_accept(head->tag)) {
+        if (banks_[cand].sorter->can_accept(head->tag)) {
             dest = cand;
             break;
         }
@@ -332,17 +330,17 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
         return std::nullopt;
     }
     const std::uint64_t t0 = clock_.now();
-    const auto popped = banks_[from]->pop_min();
+    const auto popped = banks_[from].sorter->pop_min();
     WFQS_ASSERT(popped.has_value() && popped->tag == head->tag);
     try {
-        banks_[dest]->insert(popped->tag, popped->payload);
+        banks_[dest].sorter->insert(popped->tag, popped->payload);
     } catch (const fault::FaultError&) {
         // A fresh upset struck the destination mid-insert. The entry is
         // still in hand — put it back where it came from (the slot it
         // occupied a moment ago is necessarily still acceptable) and
         // report a stall; only a second fault on that return path can
         // propagate, leaving the caller's scrub machinery to clean up.
-        banks_[from]->insert(popped->tag, popped->payload);
+        banks_[from].sorter->insert(popped->tag, popped->payload);
         refresh_head(from);
         stats_.migration_cycles += clock_.now() - t0;
         ++stats_.migration_stalls;
@@ -353,10 +351,10 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
     // Stolen engagement: the move occupies both banks' pipelines for one
     // initiation interval in the current arrival slot — later datapath ops
     // queue behind it — but it is not an offered op, so arrivals_,
-    // bank_ops_, and the wait tallies stay untouched and the makespan only
+    // the bank op counts, and the wait tallies stay untouched and the makespan only
     // grows through the delayed real ops.
-    bank_free_at_[from] = std::max(arrivals_, bank_free_at_[from]) + ii_;
-    bank_free_at_[dest] = std::max(arrivals_, bank_free_at_[dest]) + ii_;
+    banks_[from].free_at = std::max(arrivals_, banks_[from].free_at) + ii_;
+    banks_[dest].free_at = std::max(arrivals_, banks_[dest].free_at) + ii_;
     refresh_head(from);
     refresh_head(dest);
     const MoveRecord record{from, dest, popped->tag, popped->payload};
@@ -367,8 +365,8 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
 bool ShardedSorter::recover() {
     bool fenced = false;
     for (unsigned i = 0; i < banks_.size(); ++i) {
-        if (bank_state_[i] == BankState::kDetached) continue;
-        fault::Scrubber scrubber(*banks_[i]);
+        if (banks_[i].state == BankState::kDetached) continue;
+        fault::Scrubber scrubber(*banks_[i].sorter);
         const fault::ScrubOutcome outcome = scrubber.scrub();
         // Degraded mode: a rebuild means uncorrectable damage — fence the
         // bank out of the routing table (flow-hash only; interleave has no
@@ -387,7 +385,7 @@ bool ShardedSorter::recover() {
     // for an attached controller to keep pumping.
     (void)fenced;
     for (unsigned i = 0; i < banks_.size(); ++i) {
-        while (bank_state_[i] == BankState::kDraining && !banks_[i]->empty()) {
+        while (banks_[i].state == BankState::kDraining && !banks_[i].sorter->empty()) {
             try {
                 if (!migrate_from(i)) break;
             } catch (const fault::FaultError&) {
@@ -397,8 +395,8 @@ bool ShardedSorter::recover() {
                 // controller resumes the drain on later ops; recover()
                 // itself never throws.
                 for (unsigned j = 0; j < banks_.size(); ++j) {
-                    if (bank_state_[j] == BankState::kDetached) continue;
-                    fault::Scrubber rescuer(*banks_[j]);
+                    if (banks_[j].state == BankState::kDetached) continue;
+                    fault::Scrubber rescuer(*banks_[j].sorter);
                     rescuer.scrub();
                 }
                 for (unsigned j = 0; j < num_banks(); ++j) refresh_head(j);
@@ -444,14 +442,14 @@ void ShardedSorter::register_metrics(obs::MetricsRegistry& registry,
     for (unsigned i = 0; i < num_banks(); ++i) {
         const std::string bank = prefix + ".bank" + std::to_string(i);
         registry.register_counter_fn(bank + ".ops",
-                                     [this, i] { return bank_ops_[i]; });
+                                     [this, i] { return banks_[i].ops; });
         registry.register_counter_fn(bank + ".wait_cycles",
-                                     [this, i] { return bank_wait_cycles_[i]; });
+                                     [this, i] { return banks_[i].wait_cycles; });
         registry.register_gauge_fn(bank + ".occupancy", [this, i] {
-            return static_cast<double>(banks_[i]->size());
+            return static_cast<double>(banks_[i].sorter->size());
         });
         registry.register_gauge_fn(bank + ".state", [this, i] {
-            return static_cast<double>(bank_state_[i]);
+            return static_cast<double>(banks_[i].state);
         });
     }
 }

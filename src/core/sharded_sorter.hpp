@@ -27,15 +27,20 @@
 //     `sequential_cycles` records what a single engine would have spent).
 //
 //   * head merge — every bank's smallest tag is a head register; a
-//     comparator tree across the N heads (here: a cached linear sweep,
-//     re-evaluated only when a bank head changes) keeps "retrieve
-//     smallest" a fixed-time register read. Logical tags are compared
-//     un-wrapped, so each bank's moving-window wrap discipline stays a
-//     bank-local concern.
+//     comparator tree across the N heads keeps "retrieve smallest" a
+//     fixed-time register read. Here it is a cached winner updated
+//     incrementally when a bank head changes: a head that drops below
+//     the winner takes over at once, and only a winner whose own head
+//     rises (or empties) triggers a sweep over the N cached heads.
+//     Logical tags are compared un-wrapped, so each bank's moving-window
+//     wrap discipline stays a bank-local concern.
 //
 // With num_banks == 1 the module is a pass-through: the same single
 // TagSorter, the same SRAM inventory (same names), the same clock
-// advance per op — bit- and cycle-identical to the unsharded path.
+// advance per op — bit- and cycle-identical to the unsharded path. Its
+// host cost per op does not grow with the bank count either: the head
+// update reads only the bank's head register and the sweep covers one
+// head, and size() is a running count.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +127,11 @@ public:
 
     // -- observers ---------------------------------------------------------
 
-    std::size_t size() const;
-    bool empty() const { return size() == 0; }
+    /// Running count, kept by the head-merge update after every bank op.
+    /// Like the head merge it is exact between ops; after a
+    /// fault::FaultError, recover() re-derives both.
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
     /// Exact under kFlowHash: inserts spill around a capacity-full bank,
     /// so this is true only when *every* routable bank is full (a further
     /// insert must throw on capacity). Under kTagInterleave placement is
@@ -142,10 +150,10 @@ public:
     unsigned num_banks() const { return static_cast<unsigned>(banks_.size()); }
     /// Banks currently routable by bank_for.
     unsigned active_banks() const { return static_cast<unsigned>(routing_.size()); }
-    BankState bank_state(unsigned i) const { return bank_state_[i]; }
+    BankState bank_state(unsigned i) const { return banks_[i].state; }
     /// Online add/remove and degraded-mode drain need cross-bank
     /// migration, which the interleave placement rules out structurally.
-    bool reshard_supported() const { return config_.select == BankSelect::kFlowHash; }
+    bool reshard_supported() const { return !interleave_; }
 
     /// Bank an insert of (tag, flow_key) lands in *right now*. Under
     /// kFlowHash this is the routing table's pick for the flow, spilled
@@ -154,13 +162,16 @@ public:
     /// configuration, the live routing table, and bank occupancy, exposed
     /// so conformance oracles can predict placements without replicating
     /// the selector. Under kTagInterleave it is the pure tag mod N.
-    unsigned bank_for(std::uint64_t tag, std::uint64_t flow_key = 0) const;
-    TagSorter& bank(unsigned i) { return *banks_[i]; }
-    const TagSorter& bank(unsigned i) const { return *banks_[i]; }
-    std::uint64_t bank_ops(unsigned i) const { return bank_ops_[i]; }
+    unsigned bank_for(std::uint64_t tag, std::uint64_t flow_key = 0) const {
+        if (interleave_) return static_cast<unsigned>(tag & mask_);
+        return flow_bank_for(flow_key);
+    }
+    TagSorter& bank(unsigned i) { return *banks_[i].sorter; }
+    const TagSorter& bank(unsigned i) const { return *banks_[i].sorter; }
+    std::uint64_t bank_ops(unsigned i) const { return banks_[i].ops; }
     /// Modeled queueing spent waiting on bank `i` alone (the aggregate is
     /// ShardedStats::bank_wait_cycles) — the rebalancer's skew signal.
-    std::uint64_t bank_wait_cycles(unsigned i) const { return bank_wait_cycles_[i]; }
+    std::uint64_t bank_wait_cycles(unsigned i) const { return banks_[i].wait_cycles; }
     /// Reconstruct the aggregate-level tag for bank `i`'s stored value
     /// (undoes the interleave compression; identity under kFlowHash).
     /// Lets oracles absorb bank contents without re-deriving the encoding.
@@ -213,12 +224,17 @@ public:
 private:
     friend class ReshardController;
 
-    unsigned select_bank(std::uint64_t tag, std::uint64_t flow_key) const;
+    /// bank_for under kFlowHash: the routing table's pick, spilled
+    /// around a capacity-full bank.
+    unsigned flow_bank_for(std::uint64_t flow_key) const;
     std::uint64_t to_local(std::uint64_t tag) const;
     std::uint64_t to_global(std::uint64_t local, unsigned bank) const;
-    /// Re-read bank `i`'s head register and re-evaluate the comparator
-    /// sweep (host-side model of the head-merge tree update).
+    /// Re-read bank `i`'s head register and occupancy and update the
+    /// comparator winner (host-side model of the head-merge tree update).
     void refresh_head(unsigned i);
+    /// Re-pick the winner from every bank's cached head (the winner's own
+    /// head rose or emptied).
+    void sweep_heads();
     /// One modeled bank engagement in the current arrival slot; returns
     /// its issue cycle.
     std::uint64_t engage_bank(unsigned bank, std::uint64_t arrival);
@@ -248,32 +264,48 @@ private:
     /// empty or no destination can take the tag right now.
     std::optional<MoveRecord> migrate_from(unsigned from);
 
-    Config config_;
-    std::vector<std::unique_ptr<TagSorter>> banks_;
-    hw::Simulation& sim_;
+    /// Everything the datapath keeps per bank, in one record so an op
+    /// touches one host cache line of wrapper state for its bank.
+    struct Bank {
+        explicit Bank(std::unique_ptr<TagSorter> s) : sorter(std::move(s)) {}
+
+        std::unique_ptr<TagSorter> sorter;
+        std::optional<std::uint64_t> head;  ///< cached global head register
+        std::size_t size = 0;               ///< cached occupancy
+        std::uint64_t free_at = 0;          ///< arbiter: pipeline free cycle
+        std::uint64_t ops = 0;
+        std::uint64_t wait_cycles = 0;
+        BankState state = BankState::kActive;
+    };
+
+    // Datapath state first, so an op's wrapper bookkeeping spans as few
+    // host cache lines as it can.
+    std::vector<Bank> banks_;
     hw::Clock& clock_;
+    bool interleave_;      ///< BankSelect::kTagInterleave
     unsigned shift_ = 0;   ///< log2(num_banks) (interleave compression)
-    std::uint64_t mask_ = 0;
     unsigned ii_ = 4;      ///< per-bank initiation interval
+    std::uint64_t mask_ = 0;
 
-    // Resharding state.
-    std::vector<BankState> bank_state_;
-    std::vector<unsigned> routing_;  ///< sorted active bank indices
-    ReshardController* controller_ = nullptr;
-    std::function<void(const MoveRecord&)> move_listener_;
-
-    // Head-merge state: cached global head tag per bank + current winner.
-    std::vector<std::optional<std::uint64_t>> head_cache_;
+    // Head-merge state: the current winner and its head, and the total
+    // entry count (the sum of the banks' cached occupancies).
     int min_bank_ = -1;
+    std::uint64_t min_head_ = 0;  ///< banks_[min_bank_].head when min_bank_ >= 0
+    std::size_t size_ = 0;
 
     // Arbiter state.
-    std::uint64_t arrivals_ = 0;               ///< ops offered (1 per cycle)
-    std::vector<std::uint64_t> bank_free_at_;  ///< pipeline free cycle per bank
+    std::uint64_t arrivals_ = 0;  ///< ops offered (1 per cycle)
     std::uint64_t makespan_ = 0;
-    std::vector<std::uint64_t> bank_ops_;
-    std::vector<std::uint64_t> bank_wait_cycles_;
 
+    ReshardController* controller_ = nullptr;
     ShardedStats stats_;
+
+    TagSorter::Config bank_config_;  ///< grow_bank builds new banks from it
+    hw::Simulation& sim_;
+
+    // Resharding state.
+    std::vector<unsigned> routing_;  ///< sorted active bank indices
+    std::function<void(const MoveRecord&)> move_listener_;
 };
 
 static_assert(SorterContract<ShardedSorter>);

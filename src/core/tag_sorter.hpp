@@ -102,6 +102,13 @@ public:
     /// (the M_min feeding the scheduler's eq. (1)).
     std::optional<SortedTag> peek_min() const;
 
+    /// Logical tag of the minimum alone: the head register, with no
+    /// tag-store access (peek_min also reads the head slot's payload).
+    std::optional<std::uint64_t> min_tag() const {
+        if (empty()) return std::nullopt;
+        return head_logical_;
+    }
+
     /// Remove and return the smallest tag.
     std::optional<SortedTag> pop_min();
 

@@ -7,7 +7,8 @@ namespace wfqs::hw {
 Sram& Simulation::make_sram(std::string name, std::size_t num_words, unsigned word_bits,
                             unsigned ports) {
     memories_.push_back(std::make_unique<Sram>(name_prefix_ + std::move(name),
-                                               num_words, word_bits, clock_, ports));
+                                               num_words, word_bits, clock_, ports,
+                                               &totals_));
     Sram& sram = *memories_.back();
     if (protection_ != fault::Protection::kNone) sram.enable_protection(protection_);
     if (injector_ != nullptr) sram.set_fault_injector(injector_);
@@ -30,18 +31,6 @@ void Simulation::attach_fault_injector(fault::FaultInjector* injector) {
     for (const auto& m : memories_) m->set_fault_injector(injector);
 }
 
-SramStats Simulation::total_memory_stats() const {
-    SramStats total;
-    for (const auto& m : memories_) {
-        total.reads += m->stats().reads;
-        total.writes += m->stats().writes;
-        total.flash_clears += m->stats().flash_clears;
-        total.ecc_corrected += m->stats().ecc_corrected;
-        total.ecc_uncorrectable += m->stats().ecc_uncorrectable;
-    }
-    return total;
-}
-
 std::uint64_t Simulation::total_memory_bits() const {
     std::uint64_t bits = 0;
     for (const auto& m : memories_) bits += m->bit_capacity();
@@ -50,6 +39,7 @@ std::uint64_t Simulation::total_memory_bits() const {
 
 void Simulation::reset_stats() {
     for (const auto& m : memories_) m->reset_stats();
+    totals_ = {};
 }
 
 void Simulation::register_metrics(obs::MetricsRegistry& registry,

@@ -23,6 +23,12 @@ namespace wfqs::hw {
 
 class Simulation {
 public:
+    Simulation() = default;
+    /// Every block holds a reference to the clock and a pointer to the
+    /// running totals, so a Simulation stays where it was built.
+    Simulation(const Simulation&) = delete;
+    Simulation& operator=(const Simulation&) = delete;
+
     Clock& clock() { return clock_; }
     const Clock& clock() const { return clock_; }
 
@@ -52,8 +58,9 @@ public:
     /// created later; nullptr detaches.
     void attach_fault_injector(fault::FaultInjector* injector);
 
-    /// Aggregate statistics across every memory block.
-    SramStats total_memory_stats() const;
+    /// Aggregate statistics across every memory block: a running total
+    /// every block bumps alongside its own counters, so this is O(1).
+    SramStats total_memory_stats() const { return totals_; }
     std::uint64_t total_memory_bits() const;
 
     /// Expose the whole inventory to a metrics registry as read-through
@@ -72,6 +79,7 @@ private:
     Clock clock_;
     std::string name_prefix_;
     std::vector<std::unique_ptr<Sram>> memories_;
+    SramStats totals_;  ///< running sum of every block's stats
     fault::Protection protection_ = fault::Protection::kNone;
     fault::FaultInjector* injector_ = nullptr;
 };

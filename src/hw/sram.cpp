@@ -10,7 +10,7 @@
 namespace wfqs::hw {
 
 Sram::Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& clock,
-           unsigned ports)
+           unsigned ports, SramStats* totals)
     : name_(std::move(name)),
       word_bits_(word_bits),
       word_mask_(low_mask(word_bits)),
@@ -21,6 +21,7 @@ Sram::Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& c
     WFQS_REQUIRE(num_words > 0, "SRAM must have at least one word");
     WFQS_REQUIRE(word_bits >= 1 && word_bits <= 64, "SRAM word width must be 1..64");
     WFQS_REQUIRE(ports >= 1, "SRAM needs at least one port");
+    if (totals != nullptr) totals_ = totals;
     if (paged_)
         page_dir_.assign(ceil_div(num_words, kPageWords), nullptr);
     else
@@ -40,6 +41,15 @@ void Sram::throw_port_conflict() const {
         name_, "SRAM port conflict on '" + name_ + "': more than " +
                    std::to_string(ports_) + " accesses in cycle " +
                    std::to_string(clock_.now()));
+}
+
+void Sram::reset_stats() {
+    totals_->reads -= stats_.reads;
+    totals_->writes -= stats_.writes;
+    totals_->flash_clears -= stats_.flash_clears;
+    totals_->ecc_corrected -= stats_.ecc_corrected;
+    totals_->ecc_uncorrectable -= stats_.ecc_uncorrectable;
+    stats_ = {};
 }
 
 void Sram::inject(std::size_t addr) {
@@ -99,7 +109,7 @@ void Sram::store_check(std::size_t addr, std::uint64_t check) {
 std::uint64_t Sram::read_slow(std::size_t addr) {
     check_addr(addr, "read");
     charge_port();
-    ++stats_.reads;
+    bump(&SramStats::reads);
     inject(addr);
     if (!protected_()) return raw_word(addr);
     const fault::Decoded decoded = codec_.decode(raw_word(addr), raw_check(addr));
@@ -109,12 +119,12 @@ std::uint64_t Sram::read_slow(std::size_t addr) {
         case fault::DecodeStatus::kCorrected:
             // Scrub-on-read: write the corrected word back so the upset
             // does not accumulate into a double error.
-            ++stats_.ecc_corrected;
+            bump(&SramStats::ecc_corrected);
             store_word(addr, decoded.data);
             store_check(addr, decoded.check);
             break;
         case fault::DecodeStatus::kUncorrectable:
-            ++stats_.ecc_uncorrectable;
+            bump(&SramStats::ecc_uncorrectable);
             throw fault::UncorrectableEccError(name_, addr);
     }
     return decoded.data;
@@ -123,7 +133,7 @@ std::uint64_t Sram::read_slow(std::size_t addr) {
 void Sram::write_slow(std::size_t addr, std::uint64_t value) {
     check_addr(addr, "write");
     charge_port();
-    ++stats_.writes;
+    bump(&SramStats::writes);
     const std::uint64_t masked = value & word_mask_;
     store_word(addr, masked);
     if (protected_()) store_check(addr, codec_.encode(masked));
@@ -138,7 +148,7 @@ void Sram::flash_clear(std::size_t addr, std::size_t count) {
                              ") exceeds " + std::to_string(num_words_) + " words");
     }
     charge_port();
-    ++stats_.flash_clears;
+    bump(&SramStats::flash_clears);
     if (!paged_) {
         std::fill_n(words_.begin() + static_cast<std::ptrdiff_t>(addr), count, 0);
         if (!check_words_.empty()) {
@@ -210,12 +220,12 @@ void Sram::relaunder() {
             case fault::DecodeStatus::kClean:
                 break;
             case fault::DecodeStatus::kCorrected:
-                ++stats_.ecc_corrected;
+                bump(&SramStats::ecc_corrected);
                 store_word(addr, d.data);
                 store_check(addr, d.check);
                 break;
             case fault::DecodeStatus::kUncorrectable:
-                ++stats_.ecc_uncorrectable;
+                bump(&SramStats::ecc_uncorrectable);
                 store_check(addr, codec_.encode(data));
                 break;
         }
@@ -262,7 +272,7 @@ std::uint64_t Sram::peek_check(std::size_t addr) const {
     return raw_check(addr);
 }
 
-std::uint64_t Sram::peek_corrected(std::size_t addr) const {
+std::uint64_t Sram::peek_corrected_slow(std::size_t addr) const {
     check_addr(addr, "peek_corrected");
     if (!protected_()) return raw_word(addr);
     return codec_.decode(raw_word(addr), raw_check(addr)).data;

@@ -30,6 +30,11 @@
 // structurally inert when disabled. This is what lets the behavioural
 // benches sweep millions of ops per second on the host.
 //
+// Every counter bump also lands in a running aggregate (`totals`, the
+// owning Simulation's inventory-wide SramStats), so the inventory total
+// is a register read rather than a sweep over every block. reset_stats()
+// takes this block's share back out, keeping the aggregate exact.
+//
 // Capacity note: blocks above kPagedThreshold words switch to a paged
 // backing store (4096-word pages allocated on first write) so a
 // 2^26-word tree leaf level or a multi-million-entry bulk tier is
@@ -75,9 +80,10 @@ public:
     static constexpr std::size_t kPagedThreshold = std::size_t{1} << 20;
 
     /// `word_bits` is informational (drives the area model); words are held
-    /// in uint64 and masked on write.
+    /// in uint64 and masked on write. `totals`, when given, is the running
+    /// aggregate this block adds its counters to; it must outlive the block.
     Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& clock,
-         unsigned ports = 1);
+         unsigned ports = 1, SramStats* totals = nullptr);
     /// The page directory points into pages_, so a copy would alias it.
     Sram(const Sram&) = delete;
     Sram& operator=(const Sram&) = delete;
@@ -85,7 +91,7 @@ public:
     std::uint64_t read(std::size_t addr) {
         if (fast_path_ && addr < words_.size()) [[likely]] {
             charge_port();
-            ++stats_.reads;
+            bump(&SramStats::reads);
             return words_[addr];
         }
         return read_slow(addr);
@@ -94,7 +100,7 @@ public:
     void write(std::size_t addr, std::uint64_t value) {
         if (fast_path_ && addr < words_.size()) [[likely]] {
             charge_port();
-            ++stats_.writes;
+            bump(&SramStats::writes);
             words_[addr] = value & word_mask_;
             return;
         }
@@ -149,8 +155,13 @@ public:
     /// The word as a datapath read would return it: decoded through the
     /// protection with single-bit correction applied (but *not* written
     /// back). Uncorrectable words are returned raw — the auditor treats
-    /// them as corrupt. Identical to peek() when unprotected.
-    std::uint64_t peek_corrected(std::size_t addr) const;
+    /// them as corrupt. Identical to peek() when unprotected. The common
+    /// case (unprotected, no injector, dense) is the same inline lane as
+    /// read(); the rest decodes out of line.
+    std::uint64_t peek_corrected(std::size_t addr) const {
+        if (fast_path_ && addr < words_.size()) [[likely]] return words_[addr];
+        return peek_corrected_slow(addr);
+    }
 
     /// Maintenance zero of the whole block (no ports, no counters): the
     /// paged backing drops every page; dense blocks are filled in place.
@@ -179,7 +190,7 @@ public:
         return static_cast<std::uint64_t>(num_words_) * word_bits_;
     }
     const SramStats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; }
+    void reset_stats();
 
     /// Highest number of accesses observed in any single cycle (≤ ports).
     unsigned peak_accesses_per_cycle() const { return peak_per_cycle_; }
@@ -204,6 +215,12 @@ private:
         if (used_this_cycle_ > ports_) [[unlikely]] throw_port_conflict();
     }
     [[noreturn]] void throw_port_conflict() const;
+    /// Count one event in this block's stats and in the running aggregate.
+    void bump(std::uint64_t SramStats::*field) {
+        ++(stats_.*field);
+        ++(totals_->*field);
+    }
+    std::uint64_t peek_corrected_slow(std::size_t addr) const;
     void inject(std::size_t addr);
     /// Full-featured lanes: address check + codec + injector dispatch.
     std::uint64_t read_slow(std::size_t addr);
@@ -249,6 +266,8 @@ private:
     fault::FaultInjector* injector_ = nullptr;
     bool fast_path_ = true;  ///< no codec, no injector: take the inline lane
     SramStats stats_;
+    SramStats detached_totals_;  ///< aggregate sink of a block outside a Simulation
+    SramStats* totals_ = &detached_totals_;
     std::uint64_t last_cycle_ = ~std::uint64_t{0};
     unsigned used_this_cycle_ = 0;
     unsigned peak_per_cycle_ = 0;

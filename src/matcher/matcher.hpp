@@ -19,6 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
+#include "common/bits.hpp"
+
 namespace wfqs::matcher {
 
 /// Result of a node match; -1 means "not found".
@@ -29,8 +32,19 @@ struct MatchResult {
     friend bool operator==(const MatchResult&, const MatchResult&) = default;
 };
 
-/// Reference model: primary/backup via plain bit scans.
-MatchResult behavioral_match(std::uint64_t word, unsigned target, unsigned width);
+/// Reference model: primary/backup via plain bit scans. Inline: the tree
+/// runs it once per level of every walk.
+inline MatchResult behavioral_match(std::uint64_t word, unsigned target,
+                                    unsigned width) {
+    WFQS_ASSERT(width >= 1 && width <= 64);
+    WFQS_ASSERT(target < width);
+    MatchResult r;
+    r.primary = highest_set_at_or_below(word & low_mask(width), target);
+    if (r.primary >= 0)
+        r.backup = highest_set_below(word & low_mask(width),
+                                     static_cast<unsigned>(r.primary));
+    return r;
+}
 
 /// The five matching-circuit variants of ref [13], Figs. 7–8.
 enum class MatcherKind {
@@ -51,12 +65,26 @@ public:
     virtual ~MatcherEngine() = default;
     virtual MatchResult match(std::uint64_t word, unsigned target, unsigned width) = 0;
     virtual std::string name() const = 0;
+    /// True only for BehavioralMatcher: match() is exactly
+    /// behavioral_match(), so a caller may run that inline instead of
+    /// making the virtual call.
+    bool behavioral() const { return behavioral_; }
+
+protected:
+    MatcherEngine() = default;
+    explicit MatcherEngine(bool behavioral) : behavioral_(behavioral) {}
+
+private:
+    bool behavioral_ = false;
 };
 
 /// Behavioural engine (no netlist; O(1) per match).
 class BehavioralMatcher final : public MatcherEngine {
 public:
-    MatchResult match(std::uint64_t word, unsigned target, unsigned width) override;
+    BehavioralMatcher() : MatcherEngine(/*behavioral=*/true) {}
+    MatchResult match(std::uint64_t word, unsigned target, unsigned width) override {
+        return behavioral_match(word, target, width);
+    }
     std::string name() const override { return "behavioral"; }
 };
 

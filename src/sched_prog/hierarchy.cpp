@@ -174,8 +174,10 @@ std::string HierScheduler::name() const {
     std::string out = "HIER(";
     for (std::size_t i = 0; i < classes_.size(); ++i) {
         if (i > 0) out += ",";
-        out += "p" + std::to_string(classes_[i].config.priority) + ":" +
-               classes_[i].child->name();
+        out += 'p';
+        out += std::to_string(classes_[i].config.priority);
+        out += ':';
+        out += classes_[i].child->name();
     }
     return out + ")";
 }

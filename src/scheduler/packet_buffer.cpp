@@ -1,27 +1,24 @@
 #include "scheduler/packet_buffer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/assert.hpp"
-#include "common/bits.hpp"
 
 namespace wfqs::scheduler {
 
 SharedPacketBuffer::SharedPacketBuffer() : SharedPacketBuffer(Config{}) {}
 
 SharedPacketBuffer::SharedPacketBuffer(const Config& config)
-    : cell_bytes_(config.cell_bytes) {
+    : cell_bytes_(config.cell_bytes),
+      cell_shift_(static_cast<unsigned>(std::countr_zero(config.cell_bytes))) {
     WFQS_REQUIRE(cell_bytes_ >= 16, "cells must hold at least a header");
+    WFQS_REQUIRE(std::has_single_bit(cell_bytes_), "cell size must be a power of two");
     total_cells_ = config.total_bytes / cell_bytes_;
     WFQS_REQUIRE(total_cells_ >= 2, "buffer too small for any packet");
     WFQS_REQUIRE(total_cells_ <= std::numeric_limits<BufferRef>::max(),
                  "buffer has more cells than a BufferRef can address");
-}
-
-std::size_t SharedPacketBuffer::cells_for(std::uint32_t bytes) const {
-    return static_cast<std::size_t>(
-        ceil_div(std::max<std::uint32_t>(bytes, 1), cell_bytes_));
 }
 
 std::optional<BufferRef> SharedPacketBuffer::store(const net::Packet& packet) {
@@ -38,7 +35,9 @@ std::optional<BufferRef> SharedPacketBuffer::store(const net::Packet& packet) {
         ref = free_descriptors_.back();
         free_descriptors_.pop_back();
     }
-    descriptors_[ref] = Descriptor{packet, static_cast<std::uint32_t>(need)};
+    Descriptor& d = descriptors_[ref];
+    d.packet = packet;
+    d.cells = static_cast<std::uint32_t>(need);
     used_cells_ += need;
     peak_used_cells_ = std::max(peak_used_cells_, used_cells_);
     return ref;

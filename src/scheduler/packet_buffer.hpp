@@ -26,7 +26,7 @@ class SharedPacketBuffer {
 public:
     struct Config {
         std::size_t total_bytes = 4 << 20;  ///< pool size
-        std::size_t cell_bytes = 64;
+        std::size_t cell_bytes = 64;        ///< a power of two, at least 16
     };
 
     SharedPacketBuffer();
@@ -56,12 +56,17 @@ private:
         net::Packet packet;
         std::uint32_t cells = 0;  ///< 0 while the descriptor is free
     };
-    std::size_t cells_for(std::uint32_t bytes) const;
+    /// ceil(bytes / cell), at least one cell: a shift, not a divide.
+    std::size_t cells_for(std::uint32_t bytes) const {
+        const std::size_t b = bytes == 0 ? 1 : bytes;
+        return (b + cell_bytes_ - 1) >> cell_shift_;
+    }
     bool is_stored(BufferRef ref) const {
         return ref < descriptors_.size() && descriptors_[ref].cells != 0;
     }
 
     std::size_t cell_bytes_;
+    unsigned cell_shift_;  ///< log2(cell_bytes_)
     std::size_t total_cells_;
     std::size_t used_cells_ = 0;
     std::vector<Descriptor> descriptors_;

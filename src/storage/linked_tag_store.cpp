@@ -45,67 +45,6 @@ LinkedTagStore::LinkedTagStore(const Config& config, hw::Simulation& sim)
                                   config_.payload_bits);
 }
 
-std::uint64_t LinkedTagStore::pack(const Slot& s) const {
-    WFQS_ASSERT(s.entry.tag < (std::uint64_t{1} << config_.tag_bits));
-    WFQS_ASSERT(config_.payload_bits == 32 ||
-                s.entry.payload < (std::uint64_t{1} << config_.payload_bits));
-    const std::uint64_t next_field =
-        s.next == kNullAddr ? config_.capacity : static_cast<std::uint64_t>(s.next);
-    WFQS_ASSERT(next_field < (std::uint64_t{1} << next_bits_));
-    return s.entry.tag | (std::uint64_t{s.entry.payload} << config_.tag_bits) |
-           (next_field << (config_.tag_bits + config_.payload_bits));
-}
-
-LinkedTagStore::Slot LinkedTagStore::unpack(std::uint64_t word) const {
-    Slot s;
-    s.entry.tag = word & low_mask(config_.tag_bits);
-    s.entry.payload = static_cast<std::uint32_t>((word >> config_.tag_bits) &
-                                                 low_mask(config_.payload_bits));
-    const std::uint64_t next_field =
-        word >> (config_.tag_bits + config_.payload_bits);
-    s.next = next_field == config_.capacity ? kNullAddr : static_cast<Addr>(next_field);
-    return s;
-}
-
-std::uint64_t LinkedTagStore::pack_lo(const Slot& s) const {
-    WFQS_ASSERT(s.entry.tag < (std::uint64_t{1} << config_.tag_bits));
-    const std::uint64_t next_field =
-        s.next == kNullAddr ? config_.capacity : static_cast<std::uint64_t>(s.next);
-    return s.entry.tag | (next_field << config_.tag_bits);
-}
-
-LinkedTagStore::Slot LinkedTagStore::unpack_lo(std::uint64_t word) const {
-    Slot s;
-    s.entry.tag = word & low_mask(config_.tag_bits);
-    const std::uint64_t next_field = word >> config_.tag_bits;
-    s.next = next_field == config_.capacity ? kNullAddr : static_cast<Addr>(next_field);
-    s.entry.payload = 0;
-    return s;
-}
-
-LinkedTagStore::Slot LinkedTagStore::read_slot(Addr addr) {
-    if (hi_sram_ == nullptr) return unpack(sram_.read(addr));
-    Slot s = unpack_lo(sram_.read(addr));
-    s.entry.payload = static_cast<std::uint32_t>(hi_sram_->read(addr));
-    return s;
-}
-
-void LinkedTagStore::write_slot(Addr addr, const Slot& s) {
-    if (hi_sram_ == nullptr) {
-        sram_.write(addr, pack(s));
-        return;
-    }
-    sram_.write(addr, pack_lo(s));
-    hi_sram_->write(addr, s.entry.payload);
-}
-
-LinkedTagStore::Slot LinkedTagStore::peek_slot_raw(Addr addr) const {
-    if (hi_sram_ == nullptr) return unpack(sram_.peek_corrected(addr));
-    Slot s = unpack_lo(sram_.peek_corrected(addr));
-    s.entry.payload = static_cast<std::uint32_t>(hi_sram_->peek_corrected(addr));
-    return s;
-}
-
 void LinkedTagStore::poke_slot_raw(Addr addr, const Slot& s) {
     if (hi_sram_ == nullptr) {
         sram_.poke(addr, pack(s));
@@ -260,21 +199,11 @@ LinkedTagStore::CombinedResult LinkedTagStore::insert_and_pop_head(
     return CombinedResult{popped.entry, slot};
 }
 
-std::optional<TagEntry> LinkedTagStore::peek_head() const {
-    if (size_ == 0) return std::nullopt;
-    return peek_slot_raw(head_).entry;
-}
-
-std::optional<std::uint64_t> LinkedTagStore::peek_second_tag() const {
-    if (size_ < 2) return std::nullopt;
-    const Slot head = peek_slot_raw(head_);
-    if (head.next == kNullAddr || head.next >= config_.capacity) {
-        throw fault::IntegrityError(
-            fault::IntegrityKind::kBrokenLink,
-            "head slot's next pointer is invalid with " + std::to_string(size_) +
-                " entries stored");
-    }
-    return peek_slot_raw(head.next).entry.tag;
+void LinkedTagStore::throw_broken_head_link() const {
+    throw fault::IntegrityError(
+        fault::IntegrityKind::kBrokenLink,
+        "head slot's next pointer is invalid with " + std::to_string(size_) +
+            " entries stored");
 }
 
 std::vector<TagEntry> LinkedTagStore::snapshot() const {

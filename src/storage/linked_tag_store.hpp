@@ -30,6 +30,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
+#include "common/bits.hpp"
 #include "hw/simulation.hpp"
 
 namespace wfqs::storage {
@@ -84,13 +86,21 @@ public:
 
     /// The smallest tag, readable at any time from the head register
     /// ("the smallest tag value ... is always known") — no cycles.
-    std::optional<TagEntry> peek_head() const;
+    std::optional<TagEntry> peek_head() const {
+        if (size_ == 0) return std::nullopt;
+        return peek_slot_raw(head_).entry;
+    }
     Addr head_addr() const { return head_; }
 
     /// The tag of the entry after the head, if any (one register-speed
     /// comparison in hardware; here a peek). Used by the sorter to detect
     /// that the last duplicate of a value is departing.
-    std::optional<std::uint64_t> peek_second_tag() const;
+    std::optional<std::uint64_t> peek_second_tag() const {
+        if (size_ < 2) return std::nullopt;
+        const Addr next = peek_slot_raw(head_).next;
+        if (next == kNullAddr || next >= config_.capacity) throw_broken_head_link();
+        return peek_slot_raw(next).entry.tag;
+    }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -143,17 +153,70 @@ private:
         TagEntry entry;
         Addr next;
     };
-    std::uint64_t pack(const Slot& s) const;
-    Slot unpack(std::uint64_t word) const;
-    std::uint64_t pack_lo(const Slot& s) const;  ///< wide mode: tag | next
-    Slot unpack_lo(std::uint64_t word) const;    ///< wide mode: payload = 0
+    // Slot packing and the datapath slot accesses are defined here so the
+    // sorter's calls (peek_head, peek_second_tag) inline across units.
+    std::uint64_t pack(const Slot& s) const {
+        WFQS_ASSERT(s.entry.tag < (std::uint64_t{1} << config_.tag_bits));
+        WFQS_ASSERT(config_.payload_bits == 32 ||
+                    s.entry.payload < (std::uint64_t{1} << config_.payload_bits));
+        const std::uint64_t next_field = next_field_of(s.next);
+        WFQS_ASSERT(next_field < (std::uint64_t{1} << next_bits_));
+        return s.entry.tag | (std::uint64_t{s.entry.payload} << config_.tag_bits) |
+               (next_field << (config_.tag_bits + config_.payload_bits));
+    }
+    Slot unpack(std::uint64_t word) const {
+        Slot s;
+        s.entry.tag = word & low_mask(config_.tag_bits);
+        s.entry.payload = static_cast<std::uint32_t>((word >> config_.tag_bits) &
+                                                     low_mask(config_.payload_bits));
+        s.next = next_of(word >> (config_.tag_bits + config_.payload_bits));
+        return s;
+    }
+    /// Wide mode: tag | next.
+    std::uint64_t pack_lo(const Slot& s) const {
+        WFQS_ASSERT(s.entry.tag < (std::uint64_t{1} << config_.tag_bits));
+        return s.entry.tag | (next_field_of(s.next) << config_.tag_bits);
+    }
+    /// Wide mode: payload = 0.
+    Slot unpack_lo(std::uint64_t word) const {
+        Slot s;
+        s.entry.tag = word & low_mask(config_.tag_bits);
+        s.entry.payload = 0;
+        s.next = next_of(word >> config_.tag_bits);
+        return s;
+    }
+    /// The stored next field encodes null as `capacity`.
+    std::uint64_t next_field_of(Addr next) const {
+        return next == kNullAddr ? config_.capacity : static_cast<std::uint64_t>(next);
+    }
+    Addr next_of(std::uint64_t next_field) const {
+        return next_field == config_.capacity ? kNullAddr : static_cast<Addr>(next_field);
+    }
     /// Datapath slot access: one cycle's worth of (parallel) SRAM
     /// traffic — a single access in narrow mode, one per stripe in wide.
-    Slot read_slot(Addr addr);
-    void write_slot(Addr addr, const Slot& s);
+    Slot read_slot(Addr addr) {
+        if (hi_sram_ == nullptr) return unpack(sram_.read(addr));
+        Slot s = unpack_lo(sram_.read(addr));
+        s.entry.payload = static_cast<std::uint32_t>(hi_sram_->read(addr));
+        return s;
+    }
+    void write_slot(Addr addr, const Slot& s) {
+        if (hi_sram_ == nullptr) {
+            sram_.write(addr, pack(s));
+            return;
+        }
+        sram_.write(addr, pack_lo(s));
+        hi_sram_->write(addr, s.entry.payload);
+    }
     /// Maintenance views (no ports, no counters, ECC-corrected).
-    Slot peek_slot_raw(Addr addr) const;
+    Slot peek_slot_raw(Addr addr) const {
+        if (hi_sram_ == nullptr) return unpack(sram_.peek_corrected(addr));
+        Slot s = unpack_lo(sram_.peek_corrected(addr));
+        s.entry.payload = static_cast<std::uint32_t>(hi_sram_->peek_corrected(addr));
+        return s;
+    }
     void poke_slot_raw(Addr addr, const Slot& s);
+    [[noreturn]] void throw_broken_head_link() const;
     Addr allocate_slot();  ///< cycle 1 of an insert
 
     Config config_;

@@ -44,15 +44,7 @@ TranslationTable::TranslationTable(const Config& config, hw::Simulation& sim)
     if (tiered_) hot_mask_ = (std::uint64_t{1} << config_.hot_bits) - 1;
 }
 
-std::optional<Addr> TranslationTable::lookup(std::uint64_t value) {
-    WFQS_ASSERT(value < entries());
-    ++stats_.lookups;
-    if (!tiered_) {
-        const std::uint64_t word = sram_.read(value);
-        if ((word & 1u) == 0) return std::nullopt;
-        ++stats_.hot_hits;
-        return static_cast<Addr>(word >> 1);
-    }
+std::optional<Addr> TranslationTable::lookup_tiered(std::uint64_t value) {
     const std::uint64_t line = sram_.read(hot_index(value));
     if ((line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value)) {
         ++stats_.hot_hits;
@@ -69,23 +61,12 @@ std::optional<Addr> TranslationTable::lookup(std::uint64_t value) {
     return it->second;
 }
 
-void TranslationTable::set(std::uint64_t value, Addr addr) {
-    WFQS_ASSERT(value < entries());
-    WFQS_ASSERT(addr < (std::uint64_t{1} << config_.addr_bits));
-    if (!tiered_) {
-        sram_.write(value, (std::uint64_t{addr} << 1) | 1u);
-        return;
-    }
+void TranslationTable::set_tiered(std::uint64_t value, Addr addr) {
     bulk_[value] = addr;  // write-through, posted (DRAM write buffer)
     sram_.write(hot_index(value), pack_hot(hot_key(value), addr));
 }
 
-void TranslationTable::invalidate(std::uint64_t value) {
-    WFQS_ASSERT(value < entries());
-    if (!tiered_) {
-        sram_.write(value, 0);
-        return;
-    }
+void TranslationTable::invalidate_tiered(std::uint64_t value) {
     bulk_.erase(value);  // posted
     const std::uint64_t line = sram_.peek_corrected(hot_index(value));
     if ((line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value))

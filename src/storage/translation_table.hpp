@@ -35,6 +35,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/assert.hpp"
 #include "hw/simulation.hpp"
 #include "storage/linked_tag_store.hpp"
 
@@ -73,16 +74,41 @@ public:
     /// one is recorded. Flat (and tiered hot hit): one SRAM read, charged
     /// to the current cycle. Tiered miss: advances the clock by the miss
     /// penalty, then installs the line.
-    std::optional<Addr> lookup(std::uint64_t value);
+    /// The flat lanes of lookup/set/invalidate are inline (the sorter
+    /// calls them on every op); the tiered lanes are out of line.
+    std::optional<Addr> lookup(std::uint64_t value) {
+        WFQS_ASSERT(value < entries());
+        ++stats_.lookups;
+        if (tiered_) return lookup_tiered(value);
+        const std::uint64_t word = sram_.read(value);
+        if ((word & 1u) == 0) return std::nullopt;
+        ++stats_.hot_hits;
+        return static_cast<Addr>(word >> 1);
+    }
 
     /// Record `addr` as the newest entry for `value`. One SRAM write
     /// (tiered: write-through to the bulk tier, posted).
-    void set(std::uint64_t value, Addr addr);
+    void set(std::uint64_t value, Addr addr) {
+        WFQS_ASSERT(value < entries());
+        WFQS_ASSERT(addr < (std::uint64_t{1} << config_.addr_bits));
+        if (tiered_) {
+            set_tiered(value, addr);
+            return;
+        }
+        sram_.write(value, (std::uint64_t{addr} << 1) | 1u);
+    }
 
     /// Drop the record for `value` (used when the last duplicate departs
     /// or a sector is recycled). One SRAM write when the hot cache holds
     /// the line; the bulk erase is posted.
-    void invalidate(std::uint64_t value);
+    void invalidate(std::uint64_t value) {
+        WFQS_ASSERT(value < entries());
+        if (tiered_) {
+            invalidate_tiered(value);
+            return;
+        }
+        sram_.write(value, 0);
+    }
 
     // -- integrity surface (audit/repair/tests; no ports, no cycles) ------
 
@@ -117,6 +143,9 @@ public:
     hw::Sram& memory() { return sram_; }  ///< scrubber/corruption-test access
 
 private:
+    std::optional<Addr> lookup_tiered(std::uint64_t value);
+    void set_tiered(std::uint64_t value, Addr addr);
+    void invalidate_tiered(std::uint64_t value);
     std::uint64_t hot_index(std::uint64_t value) const { return value & hot_mask_; }
     std::uint64_t hot_key(std::uint64_t value) const { return value >> config_.hot_bits; }
     std::uint64_t pack_hot(std::uint64_t key, Addr addr) const {

@@ -27,7 +27,10 @@ constexpr std::uint64_t kMaxNodeWords = std::uint64_t{1} << 28;
 
 MultibitTree::MultibitTree(const Config& config, hw::Simulation& sim,
                            matcher::MatcherEngine& matcher)
-    : config_(config), matcher_(matcher), clock_(sim.clock()) {
+    : config_(config),
+      matcher_(matcher),
+      behavioral_matcher_(matcher.behavioral()),
+      clock_(sim.clock()) {
     config_.geometry.validate();
     WFQS_REQUIRE(config_.first_sram_level >= 1,
                  "the root level must be registers (it is read every cycle)");
@@ -36,46 +39,36 @@ MultibitTree::MultibitTree(const Config& config, hw::Simulation& sim,
     capacity_ = g.capacity();
     for (unsigned l = 0; l < g.levels; ++l) {
         const unsigned bits = g.level_bits(l);
-        level_[l] = {g.suffix_bits(l) - bits, bits, g.branching(l), low_mask(bits),
-                     low_mask(g.branching(l))};
+        LevelTable& lt = level_[l];
+        lt = {g.suffix_bits(l) - bits, bits, g.branching(l), low_mask(bits),
+              low_mask(g.branching(l))};
         const std::uint64_t nodes = g.nodes_at_level(l);
         if (nodes > kMaxNodeWords)
             throw fault::SramInventoryError("tree-level-" + std::to_string(l),
                                             nodes, kMaxNodeWords);
         if (l < config_.first_sram_level) {
-            register_levels_.emplace_back(nodes, 0);
+            lt.reg_base = registers_.size();
+            registers_.resize(registers_.size() + nodes, 0);
         } else {
-            sram_levels_.push_back(&sim.make_sram("tree-level-" + std::to_string(l),
-                                                  nodes, g.branching(l),
-                                                  kTreeSramPorts));
+            lt.sram = &sim.make_sram("tree-level-" + std::to_string(l), nodes,
+                                     g.branching(l), kTreeSramPorts);
         }
     }
 }
 
-std::uint64_t MultibitTree::read_node(unsigned level, std::uint64_t index) {
-    if (level < config_.first_sram_level) return register_levels_[level][index];
-    return sram_levels_[level - config_.first_sram_level]->read(index);
-}
-
-void MultibitTree::write_node(unsigned level, std::uint64_t index, std::uint64_t word) {
-    if (level < config_.first_sram_level) {
-        register_levels_[level][index] = word;
-        return;
-    }
-    sram_levels_[level - config_.first_sram_level]->write(index, word);
-}
-
 std::uint64_t MultibitTree::node_word(unsigned level, std::uint64_t index) const {
-    if (level < config_.first_sram_level) return register_levels_[level][index];
-    return sram_levels_[level - config_.first_sram_level]->peek_corrected(index);
+    const LevelTable& lt = level_[level];
+    if (lt.sram == nullptr) return registers_[lt.reg_base + index];
+    return lt.sram->peek_corrected(index);
 }
 
 void MultibitTree::poke_node(unsigned level, std::uint64_t index, std::uint64_t word) {
-    if (level < config_.first_sram_level) {
-        register_levels_[level][index] = word;
+    const LevelTable& lt = level_[level];
+    if (lt.sram == nullptr) {
+        registers_[lt.reg_base + index] = word;
         return;
     }
-    sram_levels_[level - config_.first_sram_level]->poke(index, word);
+    lt.sram->poke(index, word);
 }
 
 bool MultibitTree::contains(std::uint64_t value) const {
@@ -122,9 +115,10 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
     bool used_backup = false;
     // Per-level info for the insert write-back: the words read on the
     // exact path. Levels >= exact_depth were never read on that path (the
-    // walk had already deviated). Tracked out of band: a full 64-way node
-    // word is ~0, so no word value can double as a "not visited" sentinel.
-    std::array<std::uint64_t, kMaxLevels> exact_words{};
+    // walk had already deviated) and are never read back, so the array is
+    // left uninitialised. Tracked out of band: a full 64-way node word is
+    // ~0, so no word value can double as a "not visited" sentinel.
+    std::array<std::uint64_t, kMaxLevels> exact_words;
     unsigned exact_depth = 0;
 
     for (unsigned l = 0; l < levels_; ++l) {
@@ -151,7 +145,9 @@ std::optional<std::uint64_t> MultibitTree::do_walk(std::uint64_t value, bool do_
             exact_words[l] = word;
             exact_depth = l + 1;
             const unsigned target = literal(value, l);
-            const matcher::MatchResult m = matcher_.match(word, target, B);
+            const matcher::MatchResult m =
+                behavioral_matcher_ ? matcher::behavioral_match(word, target, B)
+                                    : matcher_.match(word, target, B);
             ++stats_.node_lookups;
 
             if (m.primary == static_cast<int>(target)) {
@@ -252,7 +248,7 @@ void MultibitTree::erase(std::uint64_t value) {
     // Background maintenance overlapped with the pipeline: reads and
     // writes are charged to the current cycle (the banked level memories
     // absorb them); the clock is advanced by the caller's FSM.
-    std::array<std::uint64_t, kMaxLevels> words{};
+    std::array<std::uint64_t, kMaxLevels> words;  // levels < levels_ all written below
     for (unsigned l = 0; l < levels_; ++l) words[l] = read_node(l, node_index(value, l));
     if (!bit_is_set(words[levels_ - 1], literal(value, levels_ - 1))) {
         throw fault::IntegrityError(fault::IntegrityKind::kTreeInvariant,
@@ -296,23 +292,22 @@ void MultibitTree::clear_sector(unsigned sector) {
     }
 
     // One cycle: clear the root bit and flash-clear every descendant node.
-    register_levels_[0][0] = clear_bit(register_levels_[0][0], sector);
+    regs(0)[0] = clear_bit(regs(0)[0], sector);
     for (unsigned l = 1; l < g.levels; ++l) {
         const std::uint64_t lo = std::uint64_t{sector} * g.nodes_at_level(l) / B;
         const std::uint64_t count = g.nodes_at_level(l) / B;
-        if (l < config_.first_sram_level) {
-            std::fill_n(register_levels_[l].begin() + static_cast<std::ptrdiff_t>(lo),
-                        count, 0);
-        } else {
-            sram_levels_[l - config_.first_sram_level]->flash_clear(lo, count);
-        }
+        if (level_[l].sram == nullptr)
+            std::fill_n(regs(l) + lo, count, 0);
+        else
+            level_[l].sram->flash_clear(lo, count);
     }
     clock_.advance();
     marker_count_ -= std::min(marker_count_, removed);  // saturating under corruption
 }
 
 void MultibitTree::relaunder() {
-    for (hw::Sram* level : sram_levels_) level->relaunder();
+    for (unsigned l = 0; l < levels_; ++l)
+        if (level_[l].sram != nullptr) level_[l].sram->relaunder();
 }
 
 void MultibitTree::for_each_nonzero_node(
@@ -324,21 +319,19 @@ void MultibitTree::for_each_nonzero_node(
 void MultibitTree::for_each_nonzero_node(
     unsigned level, std::uint64_t first, std::uint64_t count,
     const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-    if (level < config_.first_sram_level) {
-        const auto& regs = register_levels_[level];
+    if (level_[level].sram == nullptr) {
+        const std::uint64_t* words = regs(level);
         for (std::uint64_t i = first; i < first + count; ++i)
-            if (regs[i] != 0) fn(i, regs[i]);
+            if (words[i] != 0) fn(i, words[i]);
         return;
     }
-    sram_levels_[level - config_.first_sram_level]->for_each_nonzero_word_in_range(
-        first, count, fn);
+    level_[level].sram->for_each_nonzero_word_in_range(first, count, fn);
 }
 
 void MultibitTree::clear_all() {
-    const TreeGeometry& g = config_.geometry;
-    for (unsigned l = 0; l < config_.first_sram_level && l < g.levels; ++l)
-        std::fill(register_levels_[l].begin(), register_levels_[l].end(), 0);
-    for (hw::Sram* level : sram_levels_) level->wipe();
+    std::fill(registers_.begin(), registers_.end(), 0);
+    for (unsigned l = 0; l < levels_; ++l)
+        if (level_[l].sram != nullptr) level_[l].sram->wipe();
     marker_count_ = 0;
 }
 
@@ -366,10 +359,10 @@ void MultibitTree::repair_from_leaves() {
             std::popcount(word & low_mask(g.branching(leaf))));
     });
     for (unsigned l = 0; l < leaf; ++l) {
-        if (l < config_.first_sram_level)
-            std::fill(register_levels_[l].begin(), register_levels_[l].end(), 0);
+        if (level_[l].sram == nullptr)
+            std::fill_n(regs(l), g.nodes_at_level(l), 0);
         else
-            sram_levels_[l - config_.first_sram_level]->wipe();
+            level_[l].sram->wipe();
     }
     for (unsigned l = leaf; l-- > 0;) {
         const unsigned child_b = g.branching(l);

@@ -141,21 +141,44 @@ private:
         unsigned branching = 0;          ///< 1 << bits: node width
         std::uint64_t literal_mask = 0;  ///< low_mask(bits)
         std::uint64_t node_mask = 0;     ///< low_mask(branching): a node's bits
+        hw::Sram* sram = nullptr;        ///< backing memory; nullptr: registers
+        std::size_t reg_base = 0;        ///< register level: first word in registers_
     };
-    std::uint64_t read_node(unsigned level, std::uint64_t index);
-    void write_node(unsigned level, std::uint64_t index, std::uint64_t word);
+    /// Datapath node access: a register, or one port-charged SRAM access.
+    std::uint64_t read_node(unsigned level, std::uint64_t index) {
+        const LevelTable& lt = level_[level];
+        if (lt.sram == nullptr) return registers_[lt.reg_base + index];
+        return lt.sram->read(index);
+    }
+    void write_node(unsigned level, std::uint64_t index, std::uint64_t word) {
+        const LevelTable& lt = level_[level];
+        if (lt.sram == nullptr) {
+            registers_[lt.reg_base + index] = word;
+            return;
+        }
+        lt.sram->write(index, word);
+    }
     /// Maintenance write: no ports, no cycles, re-encodes check bits.
     void poke_node(unsigned level, std::uint64_t index, std::uint64_t word);
     std::optional<std::uint64_t> do_walk(std::uint64_t value, bool do_insert,
                                          bool* planted);
+    /// First node word of register level `level`.
+    std::uint64_t* regs(unsigned level) { return registers_.data() + level_[level].reg_base; }
+    const std::uint64_t* regs(unsigned level) const {
+        return registers_.data() + level_[level].reg_base;
+    }
 
     Config config_;
     unsigned levels_ = 0;
     std::uint64_t capacity_ = 0;
     std::array<LevelTable, kMaxLevels> level_{};
     matcher::MatcherEngine& matcher_;
-    std::vector<std::vector<std::uint64_t>> register_levels_;  ///< levels < first_sram_level
-    std::vector<hw::Sram*> sram_levels_;                       ///< levels >= first_sram_level
+    /// The behavioural engine runs inline (matcher::behavioral_match);
+    /// any other engine goes through its virtual match().
+    bool behavioral_matcher_;
+    /// Every register level's node words, level after level (levels <
+    /// first_sram_level; the deeper levels live in SRAM).
+    std::vector<std::uint64_t> registers_;
     hw::Clock& clock_;
     std::uint64_t marker_count_ = 0;
     TreeSearchStats stats_;

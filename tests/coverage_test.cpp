@@ -59,8 +59,11 @@ INSTANTIATE_TEST_SUITE_P(
                       tree::TreeGeometry{4, 4},   // 16-bit tags
                       tree::TreeGeometry{3, 6}),  // 18-bit tags, 64-wide nodes
     [](const ::testing::TestParamInfo<tree::TreeGeometry>& info) {
-        return "L" + std::to_string(info.param.levels) + "b" +
-               std::to_string(info.param.bits_per_level);
+        std::string name = "L";
+        name += std::to_string(info.param.levels);
+        name += 'b';
+        name += std::to_string(info.param.bits_per_level);
+        return name;
     });
 
 // ------------------------------------------- matcher block sweep

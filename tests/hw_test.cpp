@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fault/errors.hpp"
+#include "fault/injector.hpp"
 #include "hw/clock.hpp"
 #include "hw/simulation.hpp"
 #include "hw/sram.hpp"
@@ -293,6 +294,89 @@ TEST(Simulation, InventoryAggregates) {
     EXPECT_EQ(sim.total_memory_stats().writes, 2u);
     EXPECT_EQ(sim.memories().size(), 2u);
     EXPECT_EQ(sim.total_memory_bits(), 16u * 16u + 256u * 12u);
+}
+
+/// Field-by-field sum over the inventory: what total_memory_stats() must
+/// equal at every point.
+SramStats summed_stats(const Simulation& sim) {
+    SramStats sum;
+    for (const auto& m : sim.memories()) {
+        sum.reads += m->stats().reads;
+        sum.writes += m->stats().writes;
+        sum.flash_clears += m->stats().flash_clears;
+        sum.ecc_corrected += m->stats().ecc_corrected;
+        sum.ecc_uncorrectable += m->stats().ecc_uncorrectable;
+    }
+    return sum;
+}
+
+void expect_totals_match(const Simulation& sim, const char* where) {
+    const SramStats total = sim.total_memory_stats();
+    const SramStats sum = summed_stats(sim);
+    EXPECT_EQ(total.reads, sum.reads) << where;
+    EXPECT_EQ(total.writes, sum.writes) << where;
+    EXPECT_EQ(total.flash_clears, sum.flash_clears) << where;
+    EXPECT_EQ(total.ecc_corrected, sum.ecc_corrected) << where;
+    EXPECT_EQ(total.ecc_uncorrectable, sum.ecc_uncorrectable) << where;
+}
+
+TEST(Simulation, RunningTotalsEqualTheInventorySum) {
+    Simulation sim;
+    Sram& fast = sim.make_sram("fast", 64, 16);  // unprotected dense: inline lane
+    Sram& ecc = sim.make_sram("ecc", 64, 16);
+    Sram& paged = sim.make_sram("paged", Sram::kPagedThreshold + Sram::kPageWords, 16);
+    Sram& faulty = sim.make_sram("faulty", 64, 16);
+    ecc.enable_protection(fault::Protection::kSecded);
+    fault::FaultInjector injector(7);
+    fault::MemoryFaultModel stuck;
+    stuck.stuck_bits.push_back({3, 0, true});
+    injector.set_model("faulty", stuck);
+    faulty.set_fault_injector(&injector);
+
+    const auto step = [&] { sim.clock().advance(); };
+    for (std::size_t i = 0; i < 8; ++i) {
+        fast.write(i, i + 1);
+        ecc.write(i, i + 1);
+        paged.write(Sram::kPagedThreshold + i, i + 1);
+        faulty.write(i, i);
+        step();
+        (void)fast.read(i);
+        (void)ecc.read(i);
+        (void)paged.read(Sram::kPagedThreshold + i);
+        (void)faulty.read(i);
+        step();
+    }
+    fast.flash_clear(0, 4);
+    paged.flash_clear(0, Sram::kPageWords);
+    step();
+    expect_totals_match(sim, "after reads, writes and flash clears");
+
+    ecc.corrupt(1, 1u << 3);  // single upset: corrected on read
+    (void)ecc.read(1);
+    step();
+    ecc.corrupt(2, 0b11);  // double upset: uncorrectable
+    EXPECT_THROW((void)ecc.read(2), fault::UncorrectableEccError);
+    step();
+    ecc.corrupt(4, 1u << 5);
+    ecc.corrupt(5, 0b101);
+    ecc.relaunder();  // maintenance sweep counts corrections too
+    EXPECT_GT(sim.total_memory_stats().ecc_corrected, 1u);
+    EXPECT_GT(sim.total_memory_stats().ecc_uncorrectable, 1u);
+    EXPECT_GT(injector.stats().accesses_seen, 0u);
+    expect_totals_match(sim, "after ECC corrections and uncorrectable reads");
+
+    ecc.reset_stats();
+    expect_totals_match(sim, "after one block's reset_stats");
+    EXPECT_GT(sim.total_memory_stats().total(), 0u);
+
+    (void)fast.read(5);
+    step();
+    sim.reset_stats();
+    expect_totals_match(sim, "after Simulation::reset_stats");
+    EXPECT_EQ(sim.total_memory_stats().total(), 0u);
+    faulty.write(0, 1);
+    expect_totals_match(sim, "after a write following the reset");
+    EXPECT_EQ(sim.total_memory_stats().writes, 1u);
 }
 
 TEST(Simulation, ResetStats) {

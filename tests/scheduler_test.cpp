@@ -58,6 +58,18 @@ TEST(PacketBuffer, TracksPeakOccupancy) {
     EXPECT_EQ(buf.peak_used_cells(), 10u);
 }
 
+TEST(PacketBuffer, PacketsTakeCeilingCellCounts) {
+    const std::pair<std::uint32_t, std::size_t> cases[] = {
+        {1, 1}, {63, 1}, {64, 1}, {65, 2}, {1500, 24}};
+    for (const auto& [bytes, cells] : cases) {
+        SharedPacketBuffer buf({4096, 64});
+        ASSERT_TRUE(buf.store({1, 0, bytes, 0}).has_value());
+        EXPECT_EQ(buf.used_cells(), cells) << bytes << "-byte packet";
+    }
+    // Cell counts are a shift, so the cell size must be a power of two.
+    EXPECT_THROW(SharedPacketBuffer({4096, 48}), std::invalid_argument);
+}
+
 TEST(PacketBuffer, RejectsBadConfig) {
     // Checked before any division by the cell size.
     EXPECT_THROW(SharedPacketBuffer({4096, 0}), std::invalid_argument);

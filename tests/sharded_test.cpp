@@ -6,9 +6,11 @@
 // and the overlapped-pipeline arbiter model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
+#include "baselines/factory.hpp"
 #include "common/rng.hpp"
 #include "core/sharded_sorter.hpp"
 #include "core/tag_sorter.hpp"
@@ -186,6 +188,116 @@ TEST(ShardedSorter, SingleBankIsCycleIdenticalToTagSorter) {
     EXPECT_EQ(sa.sector_invalidations, sb.sector_invalidations);
     EXPECT_EQ(sa.wrap_fallback_searches, sb.wrap_fallback_searches);
     EXPECT_EQ(sa.worst_insert_cycles, sb.worst_insert_cycles);
+}
+
+// The one-bank wrapper stays a pass-through through pops down to empty,
+// head reads and a refill, and its own books (head-merge updates, the
+// sequential and overlapped cycle counts, the bank's op count) are the
+// ones the single engine implies: every op is one bank engagement issued
+// at 4k (one arrival per cycle, II = 4), retiring max(latency, II) later.
+TEST(ShardedSorter, SingleBankPassThroughDrainsAndRefillsIdentically) {
+    hw::Simulation plain_sim;
+    TagSorter plain({}, plain_sim);
+    hw::Simulation sharded_sim;
+    ShardedSorter one(sharded_config(1), sharded_sim);
+
+    std::uint64_t ops = 0;
+    std::uint64_t makespan = 0;
+    const auto account = [&](std::uint64_t cycles) {
+        makespan = std::max(makespan, 4 * ops + std::max<std::uint64_t>(cycles, 4));
+        ++ops;
+    };
+    const auto insert = [&](std::uint64_t tag, std::uint32_t payload) {
+        const std::uint64_t t0 = plain_sim.clock().now();
+        plain.insert(tag, payload);
+        one.insert(tag, payload);
+        account(plain_sim.clock().now() - t0);
+    };
+    const auto pop = [&] {
+        ASSERT_EQ(plain.peek_min(), one.peek_min());
+        const std::uint64_t t0 = plain_sim.clock().now();
+        const auto a = plain.pop_min();
+        const auto b = one.pop_min();
+        ASSERT_EQ(a, b);
+        account(plain_sim.clock().now() - t0);
+    };
+
+    Rng rng(7);
+    std::uint64_t tag = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 300; ++i) {
+            tag += rng.next_below(6);
+            insert(tag, static_cast<std::uint32_t>(i));
+            if (i % 3 == 2) pop();
+        }
+        while (!one.empty()) pop();
+        EXPECT_EQ(plain.size(), 0u);
+        EXPECT_EQ(one.size(), 0u);
+        EXPECT_FALSE(one.peek_min().has_value());
+        EXPECT_FALSE(one.pop_min().has_value());  // an empty pop is no op
+    }
+
+    EXPECT_EQ(plain_sim.clock().now(), sharded_sim.clock().now());
+    for (std::size_t i = 0; i < plain_sim.memories().size(); ++i) {
+        const hw::Sram& a = *plain_sim.memories()[i];
+        const hw::Sram& b = *sharded_sim.memories()[i];
+        EXPECT_EQ(a.stats().reads, b.stats().reads) << a.name();
+        EXPECT_EQ(a.stats().writes, b.stats().writes) << a.name();
+        EXPECT_EQ(a.stats().flash_clears, b.stats().flash_clears) << a.name();
+    }
+    const ShardedStats& st = one.stats();
+    EXPECT_EQ(st.head_merge_updates, ops);
+    EXPECT_EQ(st.sequential_cycles, plain_sim.clock().now());
+    EXPECT_EQ(st.inserts + st.pops, ops);
+    EXPECT_EQ(st.bank_wait_cycles, 3 * ops * (ops - 1) / 2);  // op k waits 4k - k
+    EXPECT_EQ(one.bank_ops(0), ops);
+    EXPECT_EQ(one.modeled_cycles(), makespan);
+    EXPECT_EQ(plain.stats().pop_cycles_total, one.bank(0).stats().pop_cycles_total);
+    EXPECT_EQ(plain.stats().worst_pop_cycles, one.bank(0).stats().worst_pop_cycles);
+}
+
+// The factory's model-backed queue bills each op the SRAM accesses it
+// caused, read off the simulation's running total: the per-memory deltas
+// summed over the inventory must give the same totals and worst cases.
+TEST(ShardedSorter, FactoryQueueBillsThePerMemoryAccessDeltas) {
+    baselines::QueueParams params;
+    params.range_bits = 12;
+    params.capacity = 1024;
+    const auto queue = baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params);
+    hw::Simulation* sim = queue->simulation();
+    ASSERT_NE(sim, nullptr);
+    const auto inventory_total = [&] {
+        std::uint64_t n = 0;
+        for (const auto& m : sim->memories()) n += m->stats().total();
+        return n;
+    };
+
+    std::uint64_t total = 0;
+    std::uint64_t worst_insert = 0;
+    std::uint64_t worst_pop = 0;
+    Rng rng(11);
+    std::uint64_t tag = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::uint64_t before = inventory_total();
+        const bool do_pop = !queue->empty() && rng.next_below(2) == 0;
+        if (do_pop) {
+            ASSERT_TRUE(queue->pop_min().has_value());
+        } else {
+            tag += rng.next_below(8);
+            queue->insert(tag, static_cast<std::uint32_t>(i));
+        }
+        (void)queue->peek_min();  // a register read: no accesses
+        const std::uint64_t used = inventory_total() - before;
+        total += used;
+        std::uint64_t& worst = do_pop ? worst_pop : worst_insert;
+        worst = std::max(worst, used);
+    }
+    EXPECT_EQ(queue->stats().accesses_total, total);
+    EXPECT_EQ(queue->stats().worst_insert_accesses, worst_insert);
+    EXPECT_EQ(queue->stats().worst_pop_accesses, worst_pop);
+    EXPECT_EQ(sim->total_memory_stats().total(), total);
+    EXPECT_GT(worst_insert, 0u);
+    EXPECT_GT(worst_pop, 0u);
 }
 
 // Multi-bank inventories scope every memory per bank.

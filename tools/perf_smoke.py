@@ -57,7 +57,7 @@ host.ops_per_sec.
 result line of one `perfbench/run.py --trace 1` run, and every run must
 be correct with no failed op. The same-process ratios adapter_over_bare
 (TagQueue adapter / bare sorter) and wrapper_over_bare (one-bank
-ShardedSorter / bare TagSorter) must not exceed 2.0. Both halves of each ratio are timed in one process on one stream,
+ShardedSorter / bare TagSorter) must not exceed 1.5. Both halves of each ratio are timed in one process on one stream,
 so the gate holds on any box. A comma-separated list is best-of-N runs
 of one workload (the smallest ratio gates), as in --host-overhead mode:
 a transient stall on a shared runner inflates one run, not every run.
@@ -120,7 +120,10 @@ def run_host_overhead(args):
 
 
 LEDGER_RATIOS = ("adapter_over_bare", "wrapper_over_bare")
-LEDGER_CEILING = 2.0
+# The smallest value on a 0.25 grid that the best-of-three cleared on
+# both gated workloads in five repeated CI-style runs (3-s --trace 1 runs
+# on a shared 4-vCPU VM; worst best-of-three 1.297). Never raise it.
+LEDGER_CEILING = 1.5
 
 
 def run_ledger(args):
