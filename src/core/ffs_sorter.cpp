@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -26,57 +24,6 @@ inline std::uint32_t mix32(std::uint32_t x) {
 }
 
 }  // namespace
-
-// -- paged bitmap words ------------------------------------------------------
-
-std::uint64_t** PagedWords::zero_block() {
-    static std::uint64_t** const block = [] {
-        static std::uint64_t* pages[kBlockPages];
-        std::fill(std::begin(pages), std::end(pages), &zero_page_[0]);
-        return pages;
-    }();
-    return block;
-}
-
-PagedWords::PagedWords(std::uint64_t words)
-    : words_(words),
-      dir_(static_cast<std::size_t>(ceil_div(words, kPageWords * kBlockPages)),
-           zero_block()) {}
-
-std::uint64_t* PagedWords::allocate_page(std::uint64_t idx) {
-    WFQS_ASSERT(idx < words_);
-    std::uint64_t**& block = dir_[static_cast<std::size_t>(idx >> (kPageShift + kBlockShift))];
-    if (block == zero_block()) {
-        auto fresh = std::make_unique<std::uint64_t*[]>(kBlockPages);
-        std::fill_n(fresh.get(), kBlockPages, &zero_page_[0]);
-        block = fresh.get();
-        blocks_.push_back(std::move(fresh));
-    }
-    // A page never extends past the level's last word, so the small
-    // summary levels cost a few words, not 4 KiB.
-    const std::uint64_t base = idx & ~kPageMask;
-    auto page = std::make_unique<std::uint64_t[]>(
-        static_cast<std::size_t>(std::min(kPageWords, words_ - base)));
-    std::uint64_t* raw = page.get();
-    block[(idx >> kPageShift) & kBlockMask] = raw;
-    pages_.push_back(std::move(page));
-    return raw;
-}
-
-void PagedWords::for_each_nonzero(
-    const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-    for (std::uint64_t b = 0; b < dir_.size(); ++b) {
-        if (dir_[b] == zero_block()) continue;
-        for (std::uint64_t pg = 0; pg < kBlockPages; ++pg) {
-            const std::uint64_t* page = dir_[b][pg];
-            if (page == zero_page_) continue;
-            const std::uint64_t base = ((b << kBlockShift) | pg) << kPageShift;
-            const std::uint64_t end = std::min(kPageWords, words_ - base);
-            for (std::uint64_t i = 0; i < end; ++i)
-                if (page[i] != 0) fn(base + i, page[i]);
-        }
-    }
-}
 
 // -- construction -------------------------------------------------------------
 
@@ -349,7 +296,14 @@ void FfsSorter::advance_window(std::uint64_t new_head_physical) {
         // already empty: every live tag sits in [head, head + span), and
         // a passed sector lies outside that window on both laps, while
         // immediate last-duplicate retirement leaves no stale markers.
+        // Left to do host-side: free the level words wholly inside it.
         WFQS_ASSERT(sector_occupancy_[lead_sector_] == 0);
+        const std::uint64_t lo = std::uint64_t{lead_sector_} << sector_shift_;
+        for (unsigned lvl = 0, shift = 6; lvl < levels_.size(); ++lvl, shift += 6) {
+            const std::uint64_t first = ceil_div(lo, std::uint64_t{1} << shift);
+            const std::uint64_t end = (lo + sector_size_) >> shift;  // words wholly inside
+            if (end > first) levels_[lvl].clear_range(first, end - first);
+        }
         lead_sector_ = (lead_sector_ + 1) % branching_;
         ++stats_.sector_invalidations;
     }
@@ -472,33 +426,27 @@ fault::AuditReport FfsSorter::audit() const {
 
     // Summary levels must mirror the leaf words. Both directions run over
     // nonzero words only (a 32-bit leaf level is 2^26 words — almost all
-    // zero): expected summaries are built sparsely from the level below,
-    // compared against the nonzero actual words, and whatever survives in
-    // `expected` is a summary word that should be set but reads zero.
+    // zero): each nonzero summary word is compared with the words below
+    // it, then every nonzero word below must find a nonzero summary word.
     for (unsigned lvl = 1; lvl < levels_.size(); ++lvl) {
-        std::map<std::uint64_t, std::uint64_t> expected;
-        levels_[lvl - 1].for_each_nonzero(
-            [&](std::uint64_t child, std::uint64_t) {
-                expected[child >> 6] |= std::uint64_t{1} << (child & 63);
-            });
-        levels_[lvl].for_each_nonzero([&](std::uint64_t w, std::uint64_t word) {
-            const auto it = expected.find(w);
-            const std::uint64_t want = it == expected.end() ? 0 : it->second;
-            if (word != want) {
-                issue(fault::IntegrityKind::kTreeInvariant,
-                      "summary word " + std::to_string(w) + " at level " +
-                          std::to_string(lvl) + " disagrees with the level below",
-                      true);
-            }
-            if (it != expected.end()) expected.erase(it);
-        });
-        for (const auto& [w, want] : expected) {
-            (void)want;
+        const PagedArray<std::uint64_t>& below = levels_[lvl - 1];
+        const auto disagrees = [&](std::uint64_t w) {
             issue(fault::IntegrityKind::kTreeInvariant,
                   "summary word " + std::to_string(w) + " at level " +
                       std::to_string(lvl) + " disagrees with the level below",
                   true);
-        }
+        };
+        levels_[lvl].for_each_nonzero([&](std::uint64_t w, std::uint64_t word) {
+            std::uint64_t want = 0;
+            for (unsigned b = 0; b < 64 && (w << 6 | b) < below.size(); ++b)
+                if (below.get(w << 6 | b) != 0) want |= std::uint64_t{1} << b;
+            if (word != want) disagrees(w);
+        });
+        std::uint64_t reported = kNullValue;
+        below.for_each_nonzero([&](std::uint64_t child, std::uint64_t) {
+            const std::uint64_t w = child >> 6;
+            if (w != reported && levels_[lvl].get(w) == 0) disagrees(reported = w);
+        });
     }
 
     // Walk every duplicate chain; the chain table plus the head register

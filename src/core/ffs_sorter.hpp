@@ -33,8 +33,9 @@
 // Duplicate tags keep FIFO order through per-value chains: a node pool
 // (12 bytes per queued entry) plus an open-addressing hash table mapping
 // physical value → {chain head, chain tail}. Both start small and double
-// on demand up to the capacity, and the bitmap levels are paged (see
-// PagedWords), so construction and memory follow the live set rather than
+// on demand up to the capacity, and the bitmap levels are PagedArrays
+// (common/paged_array.hpp) whose pages are freed as the window retires
+// each sector, so construction and memory follow the live set rather than
 // `capacity` or the 2^W value space. A doubling is the one op whose cost
 // is not constant: at most log2(capacity) of them per sorter lifetime.
 //
@@ -45,70 +46,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/paged_array.hpp"
 #include "core/sorter_contract.hpp"
 #include "core/tag_sorter.hpp"  // SorterStats, TagSorter::Config
 #include "fault/audit.hpp"
 #include "obs/metrics.hpp"
 
 namespace wfqs::core {
-
-/// Bitmap level storage for the FFS sorter: 4 KiB pages behind a
-/// two-level directory, each allocated on first write, so a level costs
-/// memory in proportion to the values it has held (a 32-bit leaf level is
-/// 2^26 words = 512 MiB dense; a flat directory over it alone would be
-/// 1 MiB to build per sorter). Absent pages and directory blocks point at
-/// shared all-zero sentinels, so a read is three dependent loads with no
-/// branch and no hash probe.
-class PagedWords {
-public:
-    static constexpr unsigned kPageShift = 9;   ///< 512 words = 4 KiB per page
-    static constexpr unsigned kBlockShift = 9;  ///< 512 pages per directory block
-    static constexpr std::uint64_t kPageMask = (std::uint64_t{1} << kPageShift) - 1;
-    static constexpr std::uint64_t kBlockMask = (std::uint64_t{1} << kBlockShift) - 1;
-
-    explicit PagedWords(std::uint64_t words = 0);
-
-    std::uint64_t size() const { return words_; }
-
-    std::uint64_t get(std::uint64_t idx) const {
-        return dir_[idx >> (kPageShift + kBlockShift)][(idx >> kPageShift) & kBlockMask]
-                   [idx & kPageMask];
-    }
-
-    /// Writable word (allocates its page on first write). Also the debug
-    /// corruption hook: `level[w] ^= bit`.
-    std::uint64_t& operator[](std::uint64_t idx) {
-        std::uint64_t* page =
-            dir_[idx >> (kPageShift + kBlockShift)][(idx >> kPageShift) & kBlockMask];
-        if (page == zero_page_) page = allocate_page(idx);
-        return page[idx & kPageMask];
-    }
-
-    /// Visit every nonzero word in ascending order (only writes allocate
-    /// pages, so skipping the sentinels skips only zeros).
-    void for_each_nonzero(
-        const std::function<void(std::uint64_t, std::uint64_t)>& fn) const;
-
-private:
-    static constexpr std::uint64_t kPageWords = std::uint64_t{1} << kPageShift;
-    static constexpr std::uint64_t kBlockPages = std::uint64_t{1} << kBlockShift;
-
-    alignas(64) static inline std::uint64_t zero_page_[kPageWords] = {};
-    static std::uint64_t** zero_block();
-
-    std::uint64_t* allocate_page(std::uint64_t idx);
-
-    std::uint64_t words_ = 0;
-    std::vector<std::uint64_t**> dir_;  ///< one entry per block, sentinel when absent
-    std::vector<std::unique_ptr<std::uint64_t*[]>> blocks_;
-    std::vector<std::unique_ptr<std::uint64_t[]>> pages_;
-};
 
 class FfsSorter {
 public:
@@ -183,7 +131,7 @@ public:
     unsigned debug_level_count() const {
         return static_cast<unsigned>(levels_.size());
     }
-    PagedWords& debug_level(unsigned level) { return levels_[level]; }
+    PagedArray<std::uint64_t>& debug_level(unsigned level) { return levels_[level]; }
     std::uint32_t& debug_node_next(std::uint32_t node) {
         return nodes_[node].next;
     }
@@ -259,7 +207,7 @@ private:
     /// levels_[0] is the leaf bitmap (one bit per value); each higher level
     /// summarises 64 words of the one below; the top level is one word.
     /// Holds the queued entries' values only (not the head register's).
-    std::vector<PagedWords> levels_;
+    std::vector<PagedArray<std::uint64_t>> levels_;
     std::vector<Node> nodes_;    ///< grows by doubling up to capacity_
     std::vector<Chain> chains_;  ///< power-of-two size, at most a quarter full
     std::uint32_t slot_mask_ = 0;  ///< chains_.size() − 1

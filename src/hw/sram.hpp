@@ -35,24 +35,18 @@
 // is a register read rather than a sweep over every block. reset_stats()
 // takes this block's share back out, keeping the aggregate exact.
 //
-// Capacity note: blocks above kPagedThreshold words switch to a paged
-// backing store (4096-word pages allocated on first write) so a
-// 2^26-word tree leaf level or a multi-million-entry bulk tier is
-// simulatable without eagerly committing gigabytes of host memory. An
-// absent page reads as all-zero — exactly the dense block's initial
-// state — and every observable behaviour (port budget, stats, ECC,
-// injection) is identical; only the host-side representation differs.
-// Paged blocks always take the slow lane (`words_` stays empty, so the
-// inline fast-lane bounds check routes every access there).
+// Capacity note: blocks above kPagedThreshold words keep their words in a
+// PagedArray (common/paged_array.hpp), so host memory follows what was
+// written; an unwritten word reads as zero like a fresh dense block.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/paged_array.hpp"
 #include "fault/ecc.hpp"
 #include "hw/clock.hpp"
 
@@ -75,33 +69,33 @@ struct SramStats {
 class Sram {
 public:
     /// Words per page of the sparse backing store.
-    static constexpr std::size_t kPageWords = 4096;
+    static constexpr std::size_t kPageWords = PagedArray<std::uint64_t>::kPageSize;
     /// Blocks above this many words use the paged backing store.
-    static constexpr std::size_t kPagedThreshold = std::size_t{1} << 20;
+    static constexpr std::size_t kPagedThreshold = std::size_t{1} << 19;
 
     /// `word_bits` is informational (drives the area model); words are held
     /// in uint64 and masked on write. `totals`, when given, is the running
     /// aggregate this block adds its counters to; it must outlive the block.
     Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& clock,
          unsigned ports = 1, SramStats* totals = nullptr);
-    /// The page directory points into pages_, so a copy would alias it.
+    /// totals_ may point into the block itself, so a copy would alias it.
     Sram(const Sram&) = delete;
     Sram& operator=(const Sram&) = delete;
 
     std::uint64_t read(std::size_t addr) {
-        if (fast_path_ && addr < words_.size()) [[likely]] {
+        if (fast_path_ && addr < num_words_) [[likely]] {
             charge_port();
             bump(&SramStats::reads);
-            return words_[addr];
+            return raw_word(addr);
         }
         return read_slow(addr);
     }
 
     void write(std::size_t addr, std::uint64_t value) {
-        if (fast_path_ && addr < words_.size()) [[likely]] {
+        if (fast_path_ && addr < num_words_) [[likely]] {
             charge_port();
             bump(&SramStats::writes);
-            words_[addr] = value & word_mask_;
+            store_word(addr, value & word_mask_);
             return;
         }
         write_slow(addr, value);
@@ -156,27 +150,27 @@ public:
     /// protection with single-bit correction applied (but *not* written
     /// back). Uncorrectable words are returned raw — the auditor treats
     /// them as corrupt. Identical to peek() when unprotected. The common
-    /// case (unprotected, no injector, dense) is the same inline lane as
-    /// read(); the rest decodes out of line.
+    /// case (unprotected, no injector) is the same inline lane as read();
+    /// the rest decodes out of line.
     std::uint64_t peek_corrected(std::size_t addr) const {
-        if (fast_path_ && addr < words_.size()) [[likely]] return words_[addr];
+        if (fast_path_ && addr < num_words_) [[likely]] return raw_word(addr);
         return peek_corrected_slow(addr);
     }
 
     /// Maintenance zero of the whole block (no ports, no counters): the
-    /// paged backing drops every page; dense blocks are filled in place.
+    /// paged backing frees every page; dense blocks are filled in place.
     /// Used by bulk invalidation paths that would otherwise sweep every
     /// word of a block far larger than its live contents.
     void wipe();
 
-    /// Invoke `fn(addr, word)` for every *nonzero* word, corrected
-    /// through the protection exactly like peek_corrected. Dense blocks
-    /// scan every word; paged blocks visit only allocated pages (absent
-    /// pages are all-zero by construction, so the view is identical).
+    /// Invoke `fn(addr, word)` for every *nonzero* word, ascending,
+    /// corrected through the protection exactly like peek_corrected. Dense
+    /// blocks scan every word; paged blocks visit only allocated pages.
     /// This is the audit/repair primitive that keeps maintenance sweeps
     /// proportional to live state, not address-space size.
-    void for_each_nonzero_word(
-        const std::function<void(std::size_t, std::uint64_t)>& fn) const;
+    void for_each_nonzero_word(const std::function<void(std::size_t, std::uint64_t)>& fn) const {
+        for_each_nonzero_word_in_range(0, num_words_, fn);
+    }
     /// Same, restricted to addresses in [first, first + count).
     void for_each_nonzero_word_in_range(
         std::size_t first, std::size_t count,
@@ -196,13 +190,6 @@ public:
     unsigned peak_accesses_per_cycle() const { return peak_per_cycle_; }
 
 private:
-    /// One page of the sparse backing store. `check` is empty until the
-    /// block is protected, then holds one check word per data word.
-    struct Page {
-        std::vector<std::uint64_t> data;
-        std::vector<std::uint64_t> check;
-    };
-
     void check_addr(std::size_t addr, const char* op) const;
     /// Port accounting shared by both lanes: the counters update with
     /// straight-line selects; only the budget violation branches (into a
@@ -226,21 +213,29 @@ private:
     std::uint64_t read_slow(std::size_t addr);
     void write_slow(std::size_t addr, std::uint64_t value);
     void update_fast_path() {
-        fast_path_ = injector_ == nullptr && check_words_.empty();
+        fast_path_ = injector_ == nullptr && !protected_();
     }
 
-    // Paged-backing helpers (defined in sram.cpp). Raw accessors return
-    // the stored bits; an absent page reads as zero data with a
-    // consistent zero check word.
-    bool protected_() const { return !check_words_.empty() || paged_protected_; }
-    Page* find_page(std::size_t page_index) { return page_dir_[page_index]; }
-    const Page* find_page(std::size_t page_index) const { return page_dir_[page_index]; }
-    Page& touch_page(std::size_t page_index);
-    void drop_page(std::size_t page_index);
-    std::uint64_t raw_word(std::size_t addr) const;
-    std::uint64_t raw_check(std::size_t addr) const;
-    void store_word(std::size_t addr, std::uint64_t data);
-    void store_check(std::size_t addr, std::uint64_t check);
+    // Stored bits, whichever the backing. Check words are stored XOR
+    // zero_check_: an unwritten word is zero with a consistent check.
+    bool protected_() const { return codec_.protection() != fault::Protection::kNone; }
+    std::uint64_t raw_word(std::size_t addr) const {
+        return paged_ ? paged_words_.get(addr) : words_[addr];
+    }
+    void store_word(std::size_t addr, std::uint64_t data) {
+        if (paged_)
+            paged_words_.set(addr, data);
+        else
+            words_[addr] = data;
+    }
+    std::uint64_t raw_check(std::size_t addr) const { return checks_.get(addr) ^ zero_check_; }
+    void store_check(std::size_t addr, std::uint64_t check) {
+        checks_.set(addr, check ^ zero_check_);
+    }
+    /// Ascending `fn(addr)` over [first, first + count): every word of a
+    /// dense block, each word with nonzero data or stored check if paged.
+    template <typename Fn>
+    void visit_candidates(std::size_t first, std::size_t count, Fn&& fn) const;
 
     std::string name_;
     unsigned word_bits_;
@@ -249,20 +244,11 @@ private:
     unsigned ports_;
     std::size_t num_words_ = 0;
     bool paged_ = false;
-    /// Dense backing (empty in paged mode, so the inline fast lane's
-    /// bounds check routes paged accesses to the slow lane).
-    std::vector<std::uint64_t> words_;
-    /// Sparse backing, keyed by addr / kPageWords. Absent = all-zero.
-    /// Owns the live pages (element addresses are stable across rehash);
-    /// maintenance sweeps iterate it, so they visit only live pages.
-    std::unordered_map<std::size_t, Page> pages_;
-    /// Page directory for the datapath: one slot per page of the block,
-    /// nullptr when absent — an O(1) lookup instead of a hash probe.
-    std::vector<Page*> page_dir_;
+    std::vector<std::uint64_t> words_;       ///< dense backing (empty when paged)
+    PagedArray<std::uint64_t> paged_words_;  ///< paged backing (empty when dense)
+    PagedArray<std::uint64_t> checks_;       ///< both backings; empty unless protected
     fault::EccCodec codec_;
-    std::vector<std::uint64_t> check_words_;  ///< dense mode; empty until protected
-    bool paged_protected_ = false;            ///< paged mode protection flag
-    std::uint64_t zero_check_ = 0;            ///< codec_.encode(0) when protected
+    std::uint64_t zero_check_ = 0;  ///< codec_.encode(0)
     fault::FaultInjector* injector_ = nullptr;
     bool fast_path_ = true;  ///< no codec, no injector: take the inline lane
     SramStats stats_;

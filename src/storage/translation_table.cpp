@@ -20,8 +20,7 @@ TranslationTable::TranslationTable(const Config& config, hw::Simulation& sim)
                        "translation table covers 1..32 tag bits");
           WFQS_REQUIRE(config.addr_bits >= 1 && config.addr_bits <= 32,
                        "list address width must be 1..32 bits");
-          const bool tiered = config.tiered.value_or(config.tag_bits > kFlatTagBitsMax);
-          if (!tiered) {
+          if (!tiered_) {
               WFQS_REQUIRE(config.tag_bits <= 28,
                            "flat translation table capped at 2^28 entries; "
                            "use the tiered mode for wider tag spaces");
@@ -40,13 +39,14 @@ TranslationTable::TranslationTable(const Config& config, hw::Simulation& sim)
           return sim.make_sram("translation-hot",
                                std::size_t{1} << config.hot_bits, line_bits,
                                kTablePorts);
-      }()) {
+      }()),
+      bulk_(tiered_ ? entries() : 0) {
     if (tiered_) hot_mask_ = (std::uint64_t{1} << config_.hot_bits) - 1;
 }
 
 std::optional<Addr> TranslationTable::lookup_tiered(std::uint64_t value) {
     const std::uint64_t line = sram_.read(hot_index(value));
-    if ((line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value)) {
+    if (hot_holds(line, value)) {
         ++stats_.hot_hits;
         return static_cast<Addr>((line >> 1) & low_mask(config_.addr_bits));
     }
@@ -55,78 +55,71 @@ std::optional<Addr> TranslationTable::lookup_tiered(std::uint64_t value) {
     // written in its own cycle, inside the stall we just charged).
     ++stats_.bulk_misses;
     for (unsigned c = 0; c < config_.miss_penalty_cycles; ++c) clock_.advance();
-    const auto it = bulk_.find(value);
-    if (it == bulk_.end()) return std::nullopt;
-    sram_.write(hot_index(value), pack_hot(hot_key(value), it->second));
-    return it->second;
+    const std::optional<Addr> addr = unpack(bulk_.get(value));
+    if (addr) sram_.write(hot_index(value), pack_hot(hot_key(value), *addr));
+    return addr;
+}
+
+void TranslationTable::store_bulk(std::uint64_t value, std::uint64_t word) {
+    resident_ -= bulk_.get(value) & 1u;
+    resident_ += word & 1u;
+    if (word != 0)
+        bulk_.set(value, word);
+    else
+        bulk_.erase(value);  // frees the page with its last valid entry
 }
 
 void TranslationTable::set_tiered(std::uint64_t value, Addr addr) {
-    bulk_[value] = addr;  // write-through, posted (DRAM write buffer)
+    store_bulk(value, pack(addr));  // write-through, posted (DRAM write buffer)
     sram_.write(hot_index(value), pack_hot(hot_key(value), addr));
 }
 
 void TranslationTable::invalidate_tiered(std::uint64_t value) {
-    bulk_.erase(value);  // posted
+    store_bulk(value, 0);  // posted
     const std::uint64_t line = sram_.peek_corrected(hot_index(value));
-    if ((line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value))
-        sram_.write(hot_index(value), 0);
+    if (hot_holds(line, value)) sram_.write(hot_index(value), 0);
 }
 
 std::optional<Addr> TranslationTable::peek(std::uint64_t value) const {
     WFQS_ASSERT(value < entries());
-    if (!tiered_) {
-        const std::uint64_t word = sram_.peek_corrected(value);
-        if ((word & 1u) == 0) return std::nullopt;
-        return static_cast<Addr>(word >> 1);
-    }
-    const auto it = bulk_.find(value);
-    if (it == bulk_.end()) return std::nullopt;
-    return it->second;
+    return unpack(tiered_ ? bulk_.get(value) : sram_.peek_corrected(value));
 }
 
 void TranslationTable::poke(std::uint64_t value, std::optional<Addr> addr) {
     WFQS_ASSERT(value < entries());
+    const std::uint64_t word = addr ? pack(*addr) : 0;
     if (!tiered_) {
-        sram_.poke(value, addr ? (std::uint64_t{*addr} << 1) | 1u : 0);
+        sram_.poke(value, word);
         return;
     }
-    if (addr)
-        bulk_[value] = *addr;
-    else
-        bulk_.erase(value);
+    store_bulk(value, word);
     // Keep the hot cache coherent with the authority it fronts.
     const std::uint64_t line = sram_.peek_corrected(hot_index(value));
-    if ((line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value))
+    if (hot_holds(line, value))
         sram_.poke(hot_index(value), addr ? pack_hot(hot_key(value), *addr) : 0);
 }
 
 void TranslationTable::clear() {
-    if (!tiered_) {
-        for (std::uint64_t value = 0; value < entries(); ++value) sram_.poke(value, 0);
-        return;
-    }
     bulk_.clear();
+    resident_ = 0;
     sram_.wipe();
 }
 
 void TranslationTable::for_each_valid(
     const std::function<void(std::uint64_t, Addr)>& fn) const {
-    if (!tiered_) {
-        sram_.for_each_nonzero_word([&](std::size_t value, std::uint64_t word) {
-            if ((word & 1u) != 0) fn(value, static_cast<Addr>(word >> 1));
-        });
-        return;
-    }
-    for (const auto& [value, addr] : bulk_) fn(value, addr);
+    const auto visit = [&](std::uint64_t value, std::uint64_t word) {
+        if (const std::optional<Addr> addr = unpack(word)) fn(value, *addr);
+    };
+    if (tiered_)
+        bulk_.for_each_nonzero(visit);
+    else
+        sram_.for_each_nonzero_word(visit);
 }
 
 std::uint64_t TranslationTable::resident() const {
-    if (tiered_) return bulk_.size();
+    if (tiered_) return resident_;
     std::uint64_t n = 0;
-    sram_.for_each_nonzero_word([&](std::size_t, std::uint64_t word) {
-        if ((word & 1u) != 0) ++n;
-    });
+    for_each_valid([&](std::uint64_t, Addr) { ++n; });
     return n;
 }
 

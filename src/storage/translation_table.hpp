@@ -15,8 +15,8 @@
 //     on-chip read.
 //   * Tiered (default above kFlatTagBitsMax): 2^32 representable values
 //     no longer imply a 2^32-entry SRAM. The authority is a bulk tier at
-//     DRAM latency (modeled as an associative store plus a fixed
-//     miss-penalty clock advance); in front of it sits a direct-mapped
+//     DRAM latency (modeled as a PagedArray of flat-table words plus a
+//     fixed miss-penalty clock advance); in front of it sits a direct-mapped
 //     on-chip hot-head cache of 2^hot_bits lines, each holding
 //     valid | key-tag | address. Lookups that hit the cache cost the
 //     same single on-chip read as the flat table — and the head region
@@ -33,9 +33,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "common/assert.hpp"
+#include "common/paged_array.hpp"
 #include "hw/simulation.hpp"
 #include "storage/linked_tag_store.hpp"
 
@@ -80,10 +80,9 @@ public:
         WFQS_ASSERT(value < entries());
         ++stats_.lookups;
         if (tiered_) return lookup_tiered(value);
-        const std::uint64_t word = sram_.read(value);
-        if ((word & 1u) == 0) return std::nullopt;
-        ++stats_.hot_hits;
-        return static_cast<Addr>(word >> 1);
+        const std::optional<Addr> addr = unpack(sram_.read(value));
+        if (addr) ++stats_.hot_hits;
+        return addr;
     }
 
     /// Record `addr` as the newest entry for `value`. One SRAM write
@@ -95,7 +94,7 @@ public:
             set_tiered(value, addr);
             return;
         }
-        sram_.write(value, (std::uint64_t{addr} << 1) | 1u);
+        sram_.write(value, pack(addr));
     }
 
     /// Drop the record for `value` (used when the last duplicate departs
@@ -123,16 +122,16 @@ public:
     /// Clear every entry (rebuild path; maintenance writes, no cycles).
     void clear();
 
-    /// Invoke `fn(value, addr)` for every valid entry. Flat tables scan
-    /// only nonzero SRAM words; tiered tables walk the bulk tier — both
-    /// proportional to live entries, not 2^tag_bits. Iteration order is
-    /// unspecified.
+    /// Invoke `fn(value, addr)` for every valid entry, ascending by value.
+    /// Both modes scan only written pages, never 2^tag_bits entries.
     void for_each_valid(
         const std::function<void(std::uint64_t, Addr)>& fn) const;
 
-    /// Live (valid) entries — tiered mode tracks this exactly; flat mode
+    /// Live (valid) entries — tiered mode keeps a running count; flat mode
     /// counts on demand.
     std::uint64_t resident() const;
+    /// Tiered: the bulk tier (a page lives while it holds a valid entry).
+    const PagedArray<std::uint64_t>& bulk_tier() const { return bulk_; }
 
     std::uint64_t entries() const { return std::uint64_t{1} << config_.tag_bits; }
     const Config& config() const { return config_; }
@@ -143,22 +142,33 @@ public:
     hw::Sram& memory() { return sram_; }  ///< scrubber/corruption-test access
 
 private:
+    static std::uint64_t pack(Addr addr) { return (std::uint64_t{addr} << 1) | 1u; }
+    static std::optional<Addr> unpack(std::uint64_t word) {
+        return (word & 1u) != 0 ? std::optional<Addr>(static_cast<Addr>(word >> 1)) : std::nullopt;
+    }
     std::optional<Addr> lookup_tiered(std::uint64_t value);
     void set_tiered(std::uint64_t value, Addr addr);
     void invalidate_tiered(std::uint64_t value);
     std::uint64_t hot_index(std::uint64_t value) const { return value & hot_mask_; }
     std::uint64_t hot_key(std::uint64_t value) const { return value >> config_.hot_bits; }
-    std::uint64_t pack_hot(std::uint64_t key, Addr addr) const {
-        return (key << (config_.addr_bits + 1)) | (std::uint64_t{addr} << 1) | 1u;
+    /// True when the hot-cache `line` is valid and caches `value`.
+    bool hot_holds(std::uint64_t line, std::uint64_t value) const {
+        return (line & 1u) != 0 && (line >> (config_.addr_bits + 1)) == hot_key(value);
     }
+    std::uint64_t pack_hot(std::uint64_t key, Addr addr) const {
+        return (key << (config_.addr_bits + 1)) | pack(addr);
+    }
+    /// Write a bulk-tier word, keeping the resident count.
+    void store_bulk(std::uint64_t value, std::uint64_t word);
 
     Config config_;
     bool tiered_ = false;
     hw::Clock& clock_;
     hw::Sram& sram_;
     std::uint64_t hot_mask_ = 0;  ///< tiered: 2^hot_bits - 1
-    /// Tiered: the authoritative bulk tier (off-chip DRAM model).
-    std::unordered_map<std::uint64_t, Addr> bulk_;
+    /// Tiered: the authoritative bulk tier (off-chip DRAM), in flat words.
+    PagedArray<std::uint64_t> bulk_;
+    std::uint64_t resident_ = 0;  ///< tiered: valid bulk-tier words
     mutable TranslationStats stats_;
 };
 

@@ -1,12 +1,15 @@
 // Unit tests for src/common: bit helpers, fixed point, RNG, statistics,
-// and the table formatter.
+// the table formatter and the paged sparse array.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/fixed_point.hpp"
+#include "common/paged_array.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -350,6 +353,121 @@ TEST(TextTable, NumFormatting) {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::num(std::uint64_t{42}), "42");
     EXPECT_EQ(TextTable::num(std::int64_t{-7}), "-7");
+}
+
+// ---------------------------------------------------------- paged array
+
+using Words = PagedArray<std::uint64_t>;
+constexpr std::uint64_t kPage = Words::kPageSize;
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero(const Words& a, std::uint64_t first,
+                                                             std::uint64_t count) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    a.for_each_nonzero(first, count,
+                       [&](std::uint64_t i, std::uint64_t v) { out.emplace_back(i, v); });
+    return out;
+}
+
+TEST(PagedArray, GetAndWriteRoundTrip) {
+    Words a(10 * kPage + 5);  // the last page is trimmed to 5 entries
+    EXPECT_EQ(a.get(3 * kPage + 1), 0u);
+    a.set(3 * kPage + 1, 11);
+    a[10 * kPage + 4] = 22;  // last entry of the trimmed page
+    a[3 * kPage + 2] ^= 0x30;
+    EXPECT_EQ(a.get(3 * kPage + 1), 11u);
+    EXPECT_EQ(a.get(3 * kPage + 2), 0x30u);
+    EXPECT_EQ(a.get(10 * kPage + 4), 22u);
+    EXPECT_EQ(a.get(3 * kPage), 0u);
+    EXPECT_EQ(a.get(4 * kPage + 1), 0u);  // untouched neighbour page
+    EXPECT_EQ(a.allocated_pages(), 2u);
+    a.set(7 * kPage, 0);  // a zero into an absent page allocates nothing
+    EXPECT_EQ(a.allocated_pages(), 2u);
+    a.set(3 * kPage + 1, 0);  // ...but lands in a present one
+    EXPECT_EQ(a.get(3 * kPage + 1), 0u);
+}
+
+TEST(PagedArray, ClearRangeZeroesPartialPagesAndFreesFullOnes) {
+    Words a(8 * kPage);
+    for (std::uint64_t p = 0; p < 8; ++p) {
+        a.set(p * kPage, p + 1);
+        a.set(p * kPage + kPage - 1, p + 100);
+    }
+    ASSERT_EQ(a.allocated_pages(), 8u);
+    // From the middle of page 1 through the middle of page 4: pages 2 and 3
+    // are covered whole and freed; pages 1 and 4 are zeroed in place.
+    a.clear_range(kPage + 1, 3 * kPage);
+    EXPECT_EQ(a.allocated_pages(), 6u);
+    EXPECT_EQ(a.get(kPage), 2u);             // before the range
+    EXPECT_EQ(a.get(2 * kPage - 1), 0u);     // inside, partial page
+    EXPECT_EQ(a.get(2 * kPage), 0u);         // inside, freed page
+    EXPECT_EQ(a.get(4 * kPage), 0u);         // inside, partial page
+    EXPECT_EQ(a.get(5 * kPage - 1), 104u);   // after the range
+    a.clear_range(0, 0);
+    EXPECT_EQ(a.allocated_pages(), 6u);
+    a.clear();
+    EXPECT_EQ(a.allocated_pages(), 0u);
+    EXPECT_TRUE(nonzero(a, 0, a.size()).empty());
+    a.set(5, 1);  // a cleared array takes writes again
+    EXPECT_EQ(a.get(5), 1u);
+    EXPECT_EQ(a.allocated_pages(), 1u);
+}
+
+TEST(PagedArray, EraseFreesAPageWithItsLastNonzeroEntry) {
+    Words a(4 * kPage + 3);
+    a.set(kPage + 1, 5);
+    a.set(kPage + 9, 6);
+    a.set(4 * kPage + 2, 7);  // in the trimmed last page
+    ASSERT_EQ(a.allocated_pages(), 2u);
+    a.erase(kPage + 1);
+    EXPECT_EQ(a.allocated_pages(), 2u);  // kPage + 9 still lives there
+    EXPECT_EQ(a.get(kPage + 1), 0u);
+    EXPECT_EQ(a.get(kPage + 9), 6u);
+    a.erase(kPage + 9);
+    EXPECT_EQ(a.allocated_pages(), 1u);
+    a.erase(3 * kPage);  // an entry of an absent page is already zero
+    a.erase(4 * kPage + 2);
+    EXPECT_EQ(a.allocated_pages(), 0u);
+    EXPECT_TRUE(nonzero(a, 0, a.size()).empty());
+    a.set(kPage + 9, 8);  // freed pages and blocks come back on the next write
+    EXPECT_EQ(a.get(kPage + 9), 8u);
+    EXPECT_EQ(a.allocated_pages(), 1u);
+}
+
+TEST(PagedArray, ForEachNonzeroIsAscendingAndRangeBound) {
+    Words a(std::uint64_t{1} << 24);
+    const std::vector<std::uint64_t> at = {9, kPage, 5 * kPage + 3, (std::uint64_t{1} << 22) + 7,
+                                           (std::uint64_t{1} << 24) - 1};
+    for (auto it = at.rbegin(); it != at.rend(); ++it) a.set(*it, *it + 1);  // written descending
+    a.set(kPage + 1, 0);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
+    for (const std::uint64_t i : at) want.emplace_back(i, i + 1);
+    EXPECT_EQ(nonzero(a, 0, a.size()), want);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> all;
+    a.for_each_nonzero([&](std::uint64_t i, std::uint64_t v) { all.emplace_back(i, v); });
+    EXPECT_EQ(all, want);
+    // [10, 5 * kPage + 3) stops just short of the third entry.
+    EXPECT_EQ(nonzero(a, 10, 5 * kPage - 7),
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{{kPage, kPage + 1}}));
+    EXPECT_EQ(nonzero(a, 10, 5 * kPage - 6).size(), 2u);
+    EXPECT_EQ(nonzero(a, 5 * kPage + 3, 1).size(), 1u);
+}
+
+TEST(PagedArray, FullThirtyTwoBitSpaceAllocatesOnlyOnWrite) {
+    Words a(std::uint64_t{1} << 32);
+    EXPECT_EQ(a.allocated_pages(), 0u);
+    EXPECT_EQ(a.get(0), 0u);
+    EXPECT_EQ(a.get(0xFFFF'FFFFull), 0u);
+    EXPECT_TRUE(nonzero(a, 0, a.size()).empty());
+    EXPECT_EQ(a.allocated_pages(), 0u);
+    a.set(0xFFFF'FFFFull, 7);
+    EXPECT_EQ(a.allocated_pages(), 1u);
+    EXPECT_EQ(a.get(0xFFFF'FFFFull), 7u);
+    Words moved(std::move(a));  // moves keep the pages, not copies of them
+    EXPECT_EQ(moved.get(0xFFFF'FFFFull), 7u);
+    EXPECT_EQ(moved.allocated_pages(), 1u);
+    moved.clear_range(std::uint64_t{1} << 31, std::uint64_t{1} << 31);
+    EXPECT_EQ(moved.allocated_pages(), 0u);
+    EXPECT_EQ(moved.get(0xFFFF'FFFFull), 0u);
 }
 
 }  // namespace

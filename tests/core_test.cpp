@@ -7,6 +7,7 @@
 #include <deque>
 #include <map>
 
+#include "common/paged_array.hpp"
 #include "common/rng.hpp"
 #include "core/synthesis_model.hpp"
 #include "core/tag_sorter.hpp"
@@ -332,6 +333,36 @@ TEST(TagSorterWrap, DenseDuplicatesAcrossTheSeam) {
             ASSERT_EQ(got->payload, expected->payload);
         }
     }
+}
+
+// The tiered translation table's bulk tier is host bookkeeping that must
+// follow the live values: a page (and then its directory block) is freed
+// with its last valid entry, at no cycle and no access. The step does not
+// divide 2^32, so every lap touches fresh pages: kept ones would grow with
+// every lap.
+TEST(TagSorterWrap, Wide32LapsKeepTheBulkTierBounded) {
+    TagSorter::Config cfg;
+    cfg.geometry = tree::TreeGeometry::wide32();
+    cfg.capacity = 16;
+    SorterFixture f(cfg);
+    ASSERT_TRUE(f.sorter.table().tiered());
+    const PagedArray<std::uint64_t>& bulk = f.sorter.table().bulk_tier();
+    const std::uint64_t range = std::uint64_t{1} << 32;
+    const std::uint64_t step = (std::uint64_t{1} << 24) + 4099;
+    std::uint64_t tag = 0;
+    f.sorter.insert(tag, 0);
+    std::uint64_t peak_pages = 0;
+    for (int lap = 0; lap < 5; ++lap) {
+        for (std::uint64_t end = tag + range; tag < end;) {
+            tag += step;
+            f.sorter.insert(tag, 1);
+            ASSERT_EQ(f.sorter.pop_min()->tag, tag - step);
+            peak_pages = std::max(peak_pages, bulk.allocated_pages());
+        }
+        ASSERT_TRUE(f.sorter.audit().clean());
+    }
+    EXPECT_EQ(f.sorter.stats().sector_invalidations, 5u * cfg.geometry.branching());
+    EXPECT_EQ(peak_pages, 1u);  // sampled after each pop: one live value
 }
 
 // --------------------------------------------- randomized equivalence

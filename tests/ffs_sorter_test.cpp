@@ -277,6 +277,44 @@ TEST(FfsHeadRegister, Wide32PopAcrossTheSeam) {
     EXPECT_TRUE(s.empty());
 }
 
+// The bitmap levels free each sector's pages as the head leaves it, so a
+// sorter whose head keeps lapping the 2^32 space holds pages only for the
+// sectors it has not yet retired. The step does not divide 2^32, so every
+// lap writes fresh leaf pages: kept pages would grow with every lap.
+TEST(FfsPaging, Wide32LapsKeepTheLevelPagesBounded) {
+    FfsSorter::Config cfg;
+    cfg.geometry = tree::TreeGeometry::wide32();
+    cfg.capacity = 16;
+    FfsSorter s(cfg);
+    const std::uint64_t range = std::uint64_t{1} << 32;
+    const std::uint64_t sector = range / cfg.geometry.branching();
+    const std::uint64_t step = (std::uint64_t{1} << 24) + 4099;
+    const auto pages = [&] {
+        std::uint64_t n = 0;
+        for (unsigned l = 0; l < s.debug_level_count(); ++l)
+            n += s.debug_level(l).allocated_pages();
+        return n;
+    };
+    // Every value written since the head entered its sector can hold one
+    // page per level, plus the one queued entry ahead of it.
+    const std::uint64_t bound = s.debug_level_count() * (sector / step + 2);
+    std::uint64_t tag = 0;
+    s.insert(tag, 0);
+    std::uint64_t peak = 0;
+    for (int lap = 0; lap < 5; ++lap) {
+        for (std::uint64_t end = tag + range; tag < end;) {
+            tag += step;
+            s.insert(tag, 0);  // queued in the bitmap behind the head
+            ASSERT_TRUE(s.pop_min().has_value());
+            peak = std::max(peak, pages());
+        }
+        ASSERT_TRUE(s.audit().clean());
+    }
+    EXPECT_EQ(s.stats().sector_invalidations, 5u * cfg.geometry.branching());
+    EXPECT_LE(peak, bound);
+    EXPECT_GT(peak, 0u);
+}
+
 // --- integrity: hand-planted corruption via the debug hooks -------------
 
 FfsSorter seeded_sorter() {
