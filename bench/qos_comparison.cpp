@@ -1,8 +1,8 @@
 // Experiment P2 — the motivation of §I-B: fair queueing provides delay
 // bounds that round robin and FIFO cannot.
 //
-// All schedulers run identical VoIP-heavy traffic (12 voice flows against
-// a heavy bursty Pareto flow) through the same 20 Mb/s link. Reported per
+// All schedulers run identical VoIP-heavy traffic (4 voice flows against
+// 6 heavy bursty Pareto flows) through the same 20 Mb/s link. Reported per
 // scheduler: worst VoIP p99/max delay, the GPS comparison (how far the
 // schedule lags the fluid ideal vs the one-packet bound), and
 // weight-normalised fairness. The shape from the paper: WFQ keeps VoIP
@@ -20,7 +20,6 @@
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
 #include "sched_prog/pifo_scheduler.hpp"
-#include "scheduler/cbq_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
 
@@ -67,7 +66,7 @@ Row evaluate(scheduler::Scheduler& sched, obs::MetricsRegistry& reg,
     std::vector<std::uint32_t> weights;
     for (const auto& f : flows) weights.push_back(f.weight);
     net::SimDriver driver(kRate);
-    // Aggregate link-level telemetry across all nine scheduler runs:
+    // Aggregate link-level telemetry across all eight scheduler runs:
     // attach_metrics find-or-creates the shared net.* metrics.
     driver.attach_metrics(reg);
     const auto result = driver.run(sched, flows);
@@ -155,10 +154,6 @@ int main(int argc, char** argv) {
     {
         scheduler::WrrScheduler wrr;
         add(evaluate(wrr, reporter.registry(), kSeedShift));
-    }
-    {
-        scheduler::CbqScheduler cbq;
-        add(evaluate(cbq, reporter.registry(), kSeedShift));
     }
     {
         scheduler::DrrScheduler drr;

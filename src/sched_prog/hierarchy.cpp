@@ -1,6 +1,6 @@
 #include "sched_prog/hierarchy.hpp"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/assert.hpp"
 
@@ -22,7 +22,8 @@ unsigned HierScheduler::add_class(const ClassConfig& config,
                      "discipline");
     }
     it->second.classes.push_back(cls);
-    classes_.push_back(ClassState{config, std::move(child), {}, 0, true, 0});
+    it->second.min_quantum = std::min(it->second.min_quantum, config.quantum_bytes);
+    classes_.push_back(ClassState{config, std::move(child), {}, 0});
     return cls;
 }
 
@@ -41,10 +42,7 @@ net::FlowId HierScheduler::add_flow_in_class(unsigned cls, std::uint32_t weight)
 net::FlowId HierScheduler::add_flow(std::uint32_t weight) {
     WFQS_REQUIRE(!classes_.empty(), "hierarchy has no classes");
     const net::FlowId next = static_cast<net::FlowId>(flows_.size());
-    const unsigned cls =
-        router_ ? router_(next, weight)
-                : static_cast<unsigned>(next % classes_.size());
-    return add_flow_in_class(cls, weight);
+    return add_flow_in_class(static_cast<unsigned>(next % classes_.size()), weight);
 }
 
 bool HierScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
@@ -52,7 +50,11 @@ bool HierScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     const FlowRoute route = flows_[packet.flow];
     net::Packet local = packet;
     local.flow = route.local;
-    return classes_[route.cls].child->enqueue(local, now);
+    ClassState& state = classes_[route.cls];
+    if (!state.child->enqueue(local, now)) return false;
+    Level& level = levels_.at(state.config.priority);
+    if (level.sharing == Sharing::kDwrr) level.ring.activate(route.cls);
+    return true;
 }
 
 std::optional<net::Packet> HierScheduler::do_dequeue(net::TimeNs now) {
@@ -72,45 +74,31 @@ std::optional<net::Packet> HierScheduler::do_dequeue(net::TimeNs now) {
 
 std::optional<net::Packet> HierScheduler::dequeue_dwrr(Level& level,
                                                        net::TimeNs now) {
-    // Deficit round robin, one packet per call: the pointer stays on the
-    // serving class between calls until its deficit no longer covers the
-    // head-of-line packet. Children without peek_size get charged (and
-    // budgeted) one quantum per packet, degrading to plain WRR.
-    std::uint64_t min_quantum = std::numeric_limits<std::uint64_t>::max();
-    for (unsigned cls : level.classes)
-        min_quantum = std::min<std::uint64_t>(
-            min_quantum, classes_[cls].config.quantum_bytes);
-    // Every full rotation grows each backlogged class's deficit by its
-    // quantum, so covering the largest representable packet needs at most
-    // 64KiB/min_quantum rotations — a hard bound, not a heuristic.
-    std::size_t safety =
-        level.classes.size() * (2 + (std::size_t{64} << 10) / min_quantum);
-    while (safety-- > 0) {
-        ClassState& state = classes_[level.classes[level.cursor]];
-        if (!state.child->has_packets()) {
-            state.deficit = 0;
-            state.fresh = true;
-            level.cursor = (level.cursor + 1) % level.classes.size();
-            continue;
-        }
-        if (state.fresh) {
-            state.deficit += state.config.quantum_bytes;
-            state.fresh = false;
-        }
-        const std::optional<std::uint32_t> head = state.child->peek_size(now);
-        const std::uint64_t cost = head ? *head : state.config.quantum_bytes;
-        if (cost <= state.deficit) {
-            std::optional<net::Packet> pkt = state.child->dequeue(now);
-            WFQS_REQUIRE(pkt.has_value(),
-                         "backlogged hierarchy child refused to dequeue");
-            state.deficit -= head ? pkt->size_bytes : cost;
-            return translate_back(level.classes[level.cursor], *pkt);
-        }
-        state.fresh = true;
-        level.cursor = (level.cursor + 1) % level.classes.size();
-    }
-    WFQS_REQUIRE(false, "DWRR failed to pick a class from a backlogged level");
-    return std::nullopt;
+    // Deficit round robin, one packet per call: a class keeps the front of
+    // the ring while its deficit covers the head-of-line packet. Children
+    // without peek_size are charged (and budgeted) one quantum per packet,
+    // degrading to plain WRR. Every full rotation grows each backlogged
+    // class's deficit by its quantum, so covering the largest representable
+    // packet needs at most 64KiB/min_quantum rotations — a hard bound, not
+    // a heuristic.
+    const std::size_t max_visits =
+        level.classes.size() * (2 + (std::size_t{64} << 10) / level.min_quantum);
+    const auto turn = level.ring.select(
+        [&](std::size_t cls) -> std::optional<std::uint64_t> {
+            ClassState& state = classes_[cls];
+            if (!state.child->has_packets()) return std::nullopt;
+            const std::optional<std::uint32_t> head = state.child->peek_size(now);
+            return head ? *head : state.config.quantum_bytes;
+        },
+        [&](std::size_t cls) { return classes_[cls].config.quantum_bytes; },
+        max_visits);
+    WFQS_REQUIRE(turn.has_value(),
+                 "DWRR failed to pick a class from a backlogged level");
+    const unsigned cls = static_cast<unsigned>(turn->member);
+    std::optional<net::Packet> pkt = classes_[cls].child->dequeue(now);
+    WFQS_REQUIRE(pkt.has_value(), "backlogged hierarchy child refused to dequeue");
+    level.ring.charge(*turn);
+    return translate_back(cls, *pkt);
 }
 
 std::optional<net::Packet> HierScheduler::dequeue_wfq(Level& level,

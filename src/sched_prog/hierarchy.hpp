@@ -12,7 +12,9 @@
 //     the level's virtual time is the finish tag of the class head last
 //     served; integer arithmetic, deterministic).
 //   * DWRR classes: one level whose classes share by deficit round
-//     robin, quantum per class.
+//     robin, quantum per class, visited in backlog order on the same
+//     scheduler::DeficitRing DrrScheduler runs (Shreedhar and Varghese's
+//     active list: a class joins the back when its child gains a packet).
 //
 // The parent needs head-of-line sizes to budget deficits and compute
 // class finish tags — Scheduler::peek_size. Children that cannot peek
@@ -20,21 +22,22 @@
 // and to an MTU estimate within WFQ levels.
 //
 // Flow routing: flows registered through the driver-facing add_flow are
-// assigned to classes by a configurable router (default: round robin
-// over classes in creation order); add_flow_in_class pins a flow
-// explicitly. Packets keep their *global* flow ids at the boundary —
-// the parent translates to the child's local id space on enqueue and
-// back on dequeue, so SimDriver records stay analysis-compatible.
+// assigned round robin over classes in creation order; add_flow_in_class
+// pins a flow explicitly. Packets keep their *global* flow ids at the
+// boundary — the parent translates to the child's local id space on
+// enqueue and back on dequeue, so SimDriver records stay
+// analysis-compatible.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "scheduler/round_robin.hpp"
 #include "scheduler/scheduler.hpp"
 
 namespace wfqs::sched_prog {
@@ -50,9 +53,6 @@ public:
         Sharing sharing = Sharing::kDwrr;    ///< must agree across a level
     };
 
-    /// Routes a driver-registered flow (global id, weight) to a class.
-    using FlowRouter = std::function<unsigned(net::FlowId, std::uint32_t)>;
-
     HierScheduler() = default;
 
     /// Add a class wrapping `child`. Classes must be added before flows.
@@ -62,10 +62,9 @@ public:
     /// Pin a flow to a class; returns the flow's *global* id.
     net::FlowId add_flow_in_class(unsigned cls, std::uint32_t weight);
 
-    /// Driver-facing registration: routes through the FlowRouter
-    /// (default: round robin over classes in creation order).
+    /// Driver-facing registration: round robin over classes in creation
+    /// order.
     net::FlowId add_flow(std::uint32_t weight) override;
-    void set_flow_router(FlowRouter router) { router_ = std::move(router); }
 
     bool do_enqueue(const net::Packet& packet, net::TimeNs now) override;
     std::optional<net::Packet> do_dequeue(net::TimeNs now) override;
@@ -84,16 +83,14 @@ private:
         ClassConfig config;
         std::unique_ptr<scheduler::Scheduler> child;
         std::vector<net::FlowId> local_to_global;
-        // DWRR state.
-        std::uint64_t deficit = 0;
-        bool fresh = true;  ///< round-robin pointer newly arrived
         // Class-level WFQ state (scaled by kWfqScale).
         std::uint64_t finish = 0;
     };
     struct Level {
         Sharing sharing = Sharing::kDwrr;
         std::vector<unsigned> classes;  ///< indices, creation order
-        std::size_t cursor = 0;         ///< DWRR round-robin pointer
+        scheduler::DeficitRing ring;    ///< DWRR over class indices
+        std::uint32_t min_quantum = std::numeric_limits<std::uint32_t>::max();
         std::uint64_t virtual_time = 0; ///< class-WFQ clock (scaled)
     };
     static constexpr std::uint64_t kWfqScale = 256;
@@ -110,7 +107,6 @@ private:
         net::FlowId local;
     };
     std::vector<FlowRoute> flows_;  ///< global flow id -> (class, local id)
-    FlowRouter router_;
 };
 
 }  // namespace wfqs::sched_prog

@@ -1,7 +1,5 @@
 #include "scheduler/round_robin.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 
@@ -72,96 +70,42 @@ DrrScheduler::DrrScheduler(std::uint32_t quantum_bytes,
     WFQS_REQUIRE(quantum_bytes > 0, "DRR quantum must be positive");
 }
 
-void DrrScheduler::on_backlogged(net::FlowId f) {
-    deficit_.resize(flows_.size(), 0);
-    in_active_.resize(flows_.size(), false);
-    fresh_turn_.resize(flows_.size(), true);
-    if (!in_active_[f]) {
-        in_active_[f] = true;
-        fresh_turn_[f] = true;
-        active_.push_back(f);
-    }
+std::optional<DeficitRing::Turn> DrrScheduler::select() {
+    return ring_.select(
+        [this](std::size_t f) -> std::optional<std::uint64_t> {
+            if (flows_[f].q.empty()) return std::nullopt;
+            return head_bytes(static_cast<net::FlowId>(f));
+        },
+        [this](std::size_t f) { return std::uint64_t{quantum_} * flows_[f].weight; });
 }
 
 std::optional<net::Packet> DrrScheduler::do_dequeue(net::TimeNs /*now*/) {
-    while (!active_.empty()) {
-        const net::FlowId f = active_.front();
-        if (flows_[f].q.empty()) {
-            // Emptied during its turn: leave the round, reset deficit.
-            deficit_[f] = 0;
-            in_active_[f] = false;
-            fresh_turn_[f] = true;
-            active_.pop_front();
-            continue;
-        }
-        if (fresh_turn_[f]) {
-            deficit_[f] += std::uint64_t{quantum_} * flows_[f].weight;
-            fresh_turn_[f] = false;
-        }
-        const std::uint32_t head = head_bytes(f);
-        if (deficit_[f] >= head) {
-            deficit_[f] -= head;
-            return serve_head(f);
-        }
-        // Deficit exhausted: rotate to the back, keep the remainder.
-        fresh_turn_[f] = true;
-        active_.pop_front();
-        active_.push_back(f);
-    }
-    return std::nullopt;
+    const auto turn = select();
+    if (!turn) return std::nullopt;
+    ring_.charge(*turn);
+    return serve_head(static_cast<net::FlowId>(turn->member));
+}
+
+std::optional<std::uint32_t> DrrScheduler::peek_size(net::TimeNs /*now*/) {
+    const auto turn = select();
+    if (!turn) return std::nullopt;
+    return static_cast<std::uint32_t>(turn->cost);
 }
 
 // ------------------------------------------------------------------ MDRR
 
-MdrrScheduler::MdrrScheduler(std::uint32_t quantum_bytes,
-                             const SharedPacketBuffer::Config& buffer)
-    : PerFlowScheduler(buffer), quantum_(quantum_bytes) {
-    WFQS_REQUIRE(quantum_bytes > 0, "MDRR quantum must be positive");
-}
-
-void MdrrScheduler::set_priority_flow(net::FlowId f) {
-    WFQS_REQUIRE(f < flows_.size(), "unknown flow");
-    priority_flow_ = f;
-}
-
 void MdrrScheduler::on_backlogged(net::FlowId f) {
-    deficit_.resize(flows_.size(), 0);
-    in_active_.resize(flows_.size(), false);
-    fresh_turn_.resize(flows_.size(), true);
-    if (f != priority_flow_ && !in_active_[f]) {
-        in_active_[f] = true;
-        fresh_turn_[f] = true;
-        active_.push_back(f);
-    }
+    if (f != kPriorityFlow) DrrScheduler::on_backlogged(f);
 }
 
-std::optional<net::Packet> MdrrScheduler::do_dequeue(net::TimeNs /*now*/) {
-    // Strict-priority low-latency queue first (the Cisco VoIP queue).
-    if (priority_flow_ < flows_.size() && !flows_[priority_flow_].q.empty())
-        return serve_head(priority_flow_);
-    while (!active_.empty()) {
-        const net::FlowId f = active_.front();
-        if (flows_[f].q.empty()) {
-            deficit_[f] = 0;
-            in_active_[f] = false;
-            fresh_turn_[f] = true;
-            active_.pop_front();
-            continue;
-        }
-        if (fresh_turn_[f]) {
-            deficit_[f] += std::uint64_t{quantum_} * flows_[f].weight;
-            fresh_turn_[f] = false;
-        }
-        const std::uint32_t head = head_bytes(f);
-        if (deficit_[f] >= head) {
-            deficit_[f] -= head;
-            return serve_head(f);
-        }
-        fresh_turn_[f] = true;
-        active_.pop_front();
-        active_.push_back(f);
-    }
-    return std::nullopt;
+std::optional<net::Packet> MdrrScheduler::do_dequeue(net::TimeNs now) {
+    if (priority_backlogged()) return serve_head(kPriorityFlow);
+    return DrrScheduler::do_dequeue(now);
+}
+
+std::optional<std::uint32_t> MdrrScheduler::peek_size(net::TimeNs now) {
+    if (priority_backlogged()) return head_bytes(kPriorityFlow);
+    return DrrScheduler::peek_size(now);
 }
 
 // ------------------------------------------------------------------- SRR
@@ -172,77 +116,41 @@ SrrScheduler::SrrScheduler(std::uint32_t quantum_bytes,
     WFQS_REQUIRE(quantum_bytes > 0, "SRR quantum must be positive");
 }
 
-std::size_t SrrScheduler::stratum_of_weight(std::uint32_t weight) const {
-    return static_cast<std::size_t>(highest_set(weight));  // floor(log2 w)
-}
-
 net::FlowId SrrScheduler::add_flow(std::uint32_t weight) {
     const net::FlowId f = PerFlowScheduler::add_flow(weight);
-    const std::size_t k = stratum_of_weight(weight);
-    if (strata_.size() <= k) {
-        for (std::size_t i = strata_.size(); i <= k; ++i)
-            strata_.push_back(Stratum{1u << i, {}, 0, true, false});
-    }
+    const std::size_t k = static_cast<std::size_t>(highest_set(weight));  // floor(log2 w)
+    if (strata_.size() <= k) strata_.resize(k + 1);
     flow_stratum_.push_back(k);
-    flow_queued_.push_back(false);
     return f;
 }
 
 void SrrScheduler::on_backlogged(net::FlowId f) {
+    // A flow is in its stratum's round robin exactly while it is backlogged.
     const std::size_t k = flow_stratum_[f];
-    Stratum& s = strata_[k];
-    if (!flow_queued_[f]) {
-        flow_queued_[f] = true;
-        s.rr.push_back(f);
-    }
-    if (!s.in_active) {
-        s.in_active = true;
-        s.fresh_turn = true;
-        active_strata_.push_back(k);
-    }
+    strata_[k].push_back(f);
+    ring_.activate(k);
 }
 
 std::optional<net::Packet> SrrScheduler::do_dequeue(net::TimeNs /*now*/) {
-    while (!active_strata_.empty()) {
-        const std::size_t k = active_strata_.front();
-        Stratum& s = strata_[k];
-        // Drop members whose queues drained.
-        while (!s.rr.empty() && flows_[s.rr.front()].q.empty()) {
-            flow_queued_[s.rr.front()] = false;
-            s.rr.pop_front();
-        }
-        if (s.rr.empty()) {
-            s.deficit = 0;
-            s.fresh_turn = true;
-            s.in_active = false;
-            active_strata_.pop_front();
-            continue;
-        }
-        if (s.fresh_turn) {
-            // The stratum's service share aggregates its members: the
-            // class granularity the paper criticises.
-            s.deficit += std::uint64_t{quantum_} * s.weight_scale * s.rr.size();
-            s.fresh_turn = false;
-        }
-        const net::FlowId f = s.rr.front();
-        const std::uint32_t head = head_bytes(f);
-        if (s.deficit >= head) {
-            s.deficit -= head;
-            // Round robin within the stratum.
-            s.rr.pop_front();
-            const net::Packet pkt = serve_head(f);
-            if (!flows_[f].q.empty()) {
-                s.rr.push_back(f);
-            } else {
-                flow_queued_[f] = false;
-            }
-            return pkt;
-        }
-        s.fresh_turn = true;
-        active_strata_.pop_front();
-        active_strata_.push_back(k);
-    }
-    return std::nullopt;
+    const auto turn = ring_.select(
+        [this](std::size_t k) -> std::optional<std::uint64_t> {
+            if (strata_[k].empty()) return std::nullopt;
+            return head_bytes(strata_[k].front());
+        },
+        // The stratum's service share aggregates its members: the class
+        // granularity the paper criticises.
+        [this](std::size_t k) {
+            return (std::uint64_t{quantum_} << k) * strata_[k].size();
+        });
+    if (!turn) return std::nullopt;
+    ring_.charge(*turn);
+    // Round robin within the stratum.
+    std::deque<net::FlowId>& rr = strata_[turn->member];
+    const net::FlowId f = rr.front();
+    rr.pop_front();
+    const net::Packet pkt = serve_head(f);
+    if (!flows_[f].q.empty()) rr.push_back(f);
+    return pkt;
 }
 
 }  // namespace wfqs::scheduler

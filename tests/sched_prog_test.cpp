@@ -3,7 +3,9 @@
 //   * rank-function units — determinism across independent instances
 //     (the property the whole oracle scheme rests on), policy shapes;
 //   * PifoScheduler / SpPifoScheduler / RifoScheduler behaviour;
-//   * hierarchical composition (strict priority over DWRR / class WFQ);
+//   * hierarchical composition (strict priority over DWRR / class WFQ),
+//     including class-based queueing as DWRR classes over DRR children;
+//   * the peek_size contract, for every scheduler that answers it;
 //   * the rank-oracle lockstep differ across every row of
 //     standard_policy_configs() — every exact policy on both sorter
 //     backends and the approximations against their mirrors;
@@ -12,6 +14,7 @@
 //     as behaviour, not just as divergence-free replays.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "proptest/differ.hpp"
@@ -22,6 +25,7 @@
 #include "sched_prog/rifo.hpp"
 #include "sched_prog/sp_pifo.hpp"
 #include "scheduler/fifo.hpp"
+#include "scheduler/round_robin.hpp"
 
 #ifndef WFQS_CORPUS_DIR
 #error "WFQS_CORPUS_DIR must point at tests/corpus"
@@ -390,6 +394,213 @@ TEST(HierScheduler, RoutedAddFlowRoundRobinsOverClasses) {
     ASSERT_TRUE(pkt.has_value());
     EXPECT_EQ(pkt->flow, f2);
     (void)c0;
+}
+
+// ------------------------- class-based queueing as DWRR over DRR
+//
+// CBQ (Floyd & Jacobson [4]), "a hierarchical approach to DRR" (§I-B), is
+// a kDwrr level whose classes hold DrrScheduler children: bandwidth is
+// shared class-first (link sharing), then per flow. DRR's peek_size lets
+// the parent budget bytes; a class of weight w gets quantum 1500 B × w.
+
+sched_prog::HierScheduler::ClassConfig dwrr_class(std::uint32_t quantum_bytes) {
+    sched_prog::HierScheduler::ClassConfig c;
+    c.quantum_bytes = quantum_bytes;
+    return c;
+}
+
+std::unique_ptr<scheduler::Scheduler> make_drr_child() {
+    return std::make_unique<scheduler::DrrScheduler>();
+}
+
+TEST(HierScheduler, ServesAndDrainsOverDrrChildren) {
+    sched_prog::HierScheduler hier;
+    const unsigned cls = hier.add_class(dwrr_class(1500), make_drr_child());
+    const auto f = hier.add_flow_in_class(cls, 1);
+    ASSERT_TRUE(hier.enqueue(make_packet(1, f, 100, 0), 0));
+    ASSERT_TRUE(hier.enqueue(make_packet(2, f, 100, 0), 0));
+    EXPECT_EQ(hier.queued_packets(), 2u);
+    EXPECT_EQ(hier.dequeue(0)->id, 1u);
+    EXPECT_EQ(hier.dequeue(0)->id, 2u);
+    EXPECT_FALSE(hier.dequeue(0).has_value());
+    EXPECT_FALSE(hier.has_packets());
+}
+
+TEST(HierScheduler, ClassSharesSplitTheLink) {
+    // Class A (weight 3) holds two equal flows; class B (weight 1) holds
+    // one. Expect A:B = 3:1 and the two A flows equal.
+    sched_prog::HierScheduler hier;
+    const unsigned ca = hier.add_class(dwrr_class(3 * 1500), make_drr_child());
+    const unsigned cb = hier.add_class(dwrr_class(1500), make_drr_child());
+    hier.add_flow_in_class(ca, 1);
+    hier.add_flow_in_class(ca, 1);
+    hier.add_flow_in_class(cb, 1);
+
+    // Flows are registered above (the SimDriver would re-register them),
+    // so drive the event loop by hand.
+    net::TimeNs t = 0;
+    std::uint64_t id = 0;
+    std::vector<std::uint64_t> bytes(3, 0);
+    net::TimeNs link_free = 0;
+    for (int step = 0; step < 30000; ++step) {
+        t += 200'000;  // 0.2 ms: 3x500B offered per flow-interval vs link
+        for (net::FlowId f = 0; f < 3; ++f)
+            hier.enqueue(make_packet(id++, f, 500, t), t);
+        while (link_free <= t && hier.has_packets()) {
+            const auto pkt = hier.dequeue(std::max(t, link_free));
+            if (!pkt) break;
+            bytes[pkt->flow] += pkt->size_bytes;
+            link_free = std::max(t, link_free) +
+                        net::transmission_ns(pkt->size_bytes, 10'000'000);
+        }
+        if (hier.queued_packets() > 3000) break;  // bounded memory for the test
+    }
+    const double a_total = static_cast<double>(bytes[0] + bytes[1]);
+    EXPECT_NEAR(a_total / static_cast<double>(bytes[2]), 3.0, 0.3);
+    EXPECT_NEAR(static_cast<double>(bytes[0]) / static_cast<double>(bytes[1]), 1.0,
+                0.1);
+}
+
+TEST(HierScheduler, FlowWeightsSplitWithinClass) {
+    // Both member flows fully backlogged: serve a window and compare
+    // shares (weights only bind while a flow stays backlogged).
+    sched_prog::HierScheduler hier;
+    const unsigned c = hier.add_class(dwrr_class(1500), make_drr_child());
+    hier.add_flow_in_class(c, 3);
+    hier.add_flow_in_class(c, 1);
+    std::uint64_t id = 0;
+    for (int i = 0; i < 3000; ++i) {
+        hier.enqueue(make_packet(id++, 0, 400, 0), 0);
+        hier.enqueue(make_packet(id++, 1, 400, 0), 0);
+    }
+    std::vector<std::uint64_t> bytes(2, 0);
+    for (int i = 0; i < 3000; ++i) {
+        const auto pkt = hier.dequeue(0);
+        ASSERT_TRUE(pkt.has_value());
+        bytes[pkt->flow] += pkt->size_bytes;
+    }
+    EXPECT_NEAR(static_cast<double>(bytes[0]) / static_cast<double>(bytes[1]), 3.0,
+                0.3);
+}
+
+TEST(HierScheduler, RejectsBadConfiguration) {
+    sched_prog::HierScheduler hier;
+    sched_prog::HierScheduler::ClassConfig zero_weight;
+    zero_weight.weight = 0;
+    EXPECT_THROW(hier.add_class(zero_weight, make_drr_child()), std::invalid_argument);
+    EXPECT_THROW(hier.add_class(dwrr_class(0), make_drr_child()), std::invalid_argument);
+    const unsigned c = hier.add_class(dwrr_class(1500), make_drr_child());
+    EXPECT_THROW(hier.add_flow_in_class(99, 1), std::invalid_argument);
+    EXPECT_THROW(hier.add_flow_in_class(c, 0), std::invalid_argument);
+    EXPECT_THROW(scheduler::DrrScheduler(0), std::invalid_argument);
+}
+
+// ------------------------------------------------- peek_size contract
+
+/// Every scheduler that answers peek_size. `partial`: answers only some
+/// of the time (HierScheduler, when one class of the first backlogged
+/// level is backlogged).
+struct PeekingScheduler {
+    std::function<std::unique_ptr<scheduler::Scheduler>()> make;
+    bool partial = false;
+};
+
+std::vector<PeekingScheduler> peeking_schedulers() {
+    using Hier = sched_prog::HierScheduler;
+    std::vector<PeekingScheduler> out;
+    out.push_back({[] { return std::make_unique<scheduler::FifoScheduler>(); }});
+    out.push_back({[] { return std::make_unique<scheduler::DrrScheduler>(500); }});
+    out.push_back({[] { return std::make_unique<scheduler::MdrrScheduler>(500); }});
+    for (const auto policy : {RankPolicy::kWfq, RankPolicy::kWf2q}) {
+        out.push_back({[policy] {
+            sched_prog::PifoScheduler::Config cfg;
+            cfg.policy = policy;
+            return std::make_unique<sched_prog::PifoScheduler>(cfg, heap_factory());
+        }});
+    }
+    out.push_back({[] {
+        sched_prog::SpPifoScheduler::Config cfg;
+        cfg.num_queues = 4;
+        return std::make_unique<sched_prog::SpPifoScheduler>(cfg);
+    }});
+    out.push_back({[] {
+        sched_prog::RifoScheduler::Config cfg;
+        cfg.fifo_capacity = 16;
+        return std::make_unique<sched_prog::RifoScheduler>(cfg);
+    }});
+    out.push_back({[] {
+        auto hier = std::make_unique<Hier>();
+        hier->add_class(dwrr_class(3000), make_drr_child());
+        hier->add_class(dwrr_class(1000), make_drr_child());
+        return hier;
+    }, true});
+    out.push_back({[] {
+        auto hier = std::make_unique<Hier>();
+        Hier::ClassConfig ef;
+        ef.priority = 0;
+        ef.sharing = Hier::Sharing::kWfq;
+        Hier::ClassConfig be = ef;
+        be.priority = 1;
+        hier->add_class(ef, make_fifo_child());
+        hier->add_class(be, make_fifo_child());
+        be.weight = 3;
+        hier->add_class(be, make_fifo_child());
+        return hier;
+    }, true});
+    return out;
+}
+
+TEST(PeekSize, NamesTheNextDequeueAndChangesNothing) {
+    // Seeded random enqueue/dequeue interleavings into two twins: one
+    // peeks before every dequeue, the other never peeks. The peeked size
+    // must be the size of the packet served next, and both twins must
+    // serve the same sequence.
+    constexpr std::size_t kFlows = 6;
+    for (const auto& entry : peeking_schedulers()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            auto peeker = entry.make();
+            auto plain = entry.make();
+            SCOPED_TRACE(peeker->name() + " seed " + std::to_string(seed));
+            for (std::size_t f = 0; f < kFlows; ++f) {
+                const auto weight = static_cast<std::uint32_t>(1 + f % 3);
+                peeker->add_flow(weight);
+                plain->add_flow(weight);
+            }
+            Rng rng(seed);
+            net::TimeNs now = 0;
+            std::uint64_t id = 0;
+            std::size_t served = 0, answered = 0;
+            for (int step = 0; step < 4000; ++step) {
+                now += static_cast<net::TimeNs>(rng.next_below(2000));
+                if (rng.next_bool()) {
+                    const net::Packet p = make_packet(
+                        ++id, static_cast<net::FlowId>(rng.next_below(kFlows)),
+                        static_cast<std::uint32_t>(rng.next_range(64, 1500)), now);
+                    ASSERT_EQ(peeker->enqueue(p, now), plain->enqueue(p, now));
+                    continue;
+                }
+                const std::optional<std::uint32_t> size = peeker->peek_size(now);
+                const auto a = peeker->dequeue(now);
+                const auto b = plain->dequeue(now);
+                ASSERT_EQ(a.has_value(), b.has_value());
+                if (!a) {
+                    EXPECT_FALSE(size.has_value());
+                    continue;
+                }
+                ASSERT_EQ(a->id, b->id) << "after " << served << " departures";
+                ++served;
+                if (!size) continue;
+                ++answered;
+                ASSERT_EQ(*size, a->size_bytes) << "packet " << a->id;
+            }
+            EXPECT_GT(served, 1000u);
+            if (entry.partial) {
+                EXPECT_GT(answered, 0u);
+            } else {
+                EXPECT_EQ(answered, served);
+            }
+        }
+    }
 }
 
 // --------------------------------- rank-oracle lockstep differ sweep
