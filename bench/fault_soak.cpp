@@ -28,7 +28,7 @@
 //            zero-loss criterion for fenced-bank drains. A FaultError
 //            goes through ShardedSorter::recover(), so an uncorrectable
 //            bank rebuild exercises degraded-mode fencing end to end.
-//   --live   reshard mode only: live status file for `wfqs_top --watch`,
+//   --live   reshard mode only: live status file for `wfqs_top`,
 //            with per-bank `bank <i> state <s> occ ...` rows.
 //
 // With --timeseries the soak also ticks a windowed timeline (ops, faults,
@@ -46,8 +46,6 @@
 // with the line_rate drive pattern, so the exported JSON shows the
 // robustness layer's hot-path cost next to BENCH_line_rate.json.
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -200,59 +198,27 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
         obs::FlightRecorder::arm_crash_dump(opt.flight);
     }
 
-    // Per-bank snapshots for the live dashboard: the soak loop refreshes
-    // these single-writer atomics every tick and the profiler's sampler
-    // thread renders them as `bank <i> ...` rows — no cross-thread reads
-    // of the sorter itself.
-    constexpr std::size_t kMaxBanks = 64;
-    struct BankSnap {
-        std::atomic<std::uint64_t> occ{0}, wait{0}, ops{0};
-        std::atomic<int> state{0};
-    };
-    static std::array<BankSnap, kMaxBanks> snaps;
-    std::atomic<unsigned> snap_count{0};
-    std::atomic<std::uint64_t> live_done{0}, live_moves{0};
-    const auto refresh_snaps = [&] {
-        const unsigned n =
-            std::min<unsigned>(sorter.num_banks(), static_cast<unsigned>(kMaxBanks));
-        for (unsigned i = 0; i < n; ++i) {
-            snaps[i].occ.store(sorter.bank(i).size(), std::memory_order_relaxed);
-            snaps[i].wait.store(sorter.bank_wait_cycles(i), std::memory_order_relaxed);
-            snaps[i].ops.store(sorter.bank_ops(i), std::memory_order_relaxed);
-            snaps[i].state.store(static_cast<int>(sorter.bank_state(i)),
-                                 std::memory_order_relaxed);
-        }
-        snap_count.store(n, std::memory_order_release);
-        live_done.store(done, std::memory_order_relaxed);
-        live_moves.store(sorter.stats().migration_moves, std::memory_order_relaxed);
-    };
-
+    // Live dashboard: the profiler ticks at the soak's own tick points and
+    // reads the sorter directly for its `bank <i> ...` rows.
     std::optional<obs::HostProfiler> profiler;
     if (!opt.live.empty()) {
         profiler.emplace(256, std::chrono::milliseconds(50));
-        profiler->add_counter("soak.ops", [&live_done] {
-            return live_done.load(std::memory_order_relaxed);
+        profiler->add_counter("soak.ops", [&done] { return done; });
+        profiler->add_counter("soak.migration_moves", [&sorter] {
+            return sorter.stats().migration_moves;
         });
-        profiler->add_counter("soak.migration_moves", [&live_moves] {
-            return live_moves.load(std::memory_order_relaxed);
-        });
-        profiler->add_live_line([&snap_count] {
+        profiler->add_live_line([&sorter] {
             std::ostringstream os;
-            const unsigned n = snap_count.load(std::memory_order_acquire);
-            for (unsigned i = 0; i < n; ++i) {
+            for (unsigned i = 0; i < sorter.num_banks(); ++i) {
                 if (i != 0) os << "\n";
-                os << "bank " << i << " state "
-                   << bank_state_name(static_cast<core::ShardedSorter::BankState>(
-                          snaps[i].state.load(std::memory_order_relaxed)))
-                   << " occ " << snaps[i].occ.load(std::memory_order_relaxed)
-                   << " wait " << snaps[i].wait.load(std::memory_order_relaxed)
-                   << " ops " << snaps[i].ops.load(std::memory_order_relaxed);
+                os << "bank " << i << " state " << bank_state_name(sorter.bank_state(i))
+                   << " occ " << sorter.bank(i).size() << " wait "
+                   << sorter.bank_wait_cycles(i) << " ops " << sorter.bank_ops(i);
             }
             return os.str();
         });
-        refresh_snaps();
         profiler->set_live_path(opt.live);
-        profiler->start_sampling();
+        profiler->begin_run();
     }
 
     const bool timeline = reporter.timeseries_enabled();
@@ -275,6 +241,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
     std::uint64_t next_tick = kTickEvery;
     // Live add/fence churn: ~16 reshard events over the run, alternating
     // a fresh bank in and a random active bank out.
+    constexpr unsigned kMaxBanks = 64;
     const std::uint64_t churn_every = std::max<std::uint64_t>(opt.ops / 16, 2048);
     std::uint64_t next_churn = churn_every;
     bool add_next = true;
@@ -364,7 +331,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
             if (done >= next_tick) {
                 if (timeline)
                     reporter.series().tick(static_cast<double>(sim.clock().now()));
-                refresh_snaps();
+                if (profiler) profiler->poll();
                 next_tick += kTickEvery;
             }
         } catch (const fault::FaultError&) {
@@ -397,10 +364,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
                             static_cast<double>(migrating_ops)
                       : 0.0;
 
-    if (profiler) {
-        refresh_snaps();
-        profiler->stop_sampling();
-    }
+    if (profiler) profiler->end_run();
 
     const auto& rstats = controller.stats();
     std::uint64_t detached = 0;

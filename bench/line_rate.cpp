@@ -226,7 +226,6 @@ std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
     if (telemetry) {
         if (reporter.live_path()) prof.set_live_path(*reporter.live_path());
         driver.set_profiler(&prof);
-        prof.start_sampling();
     }
     sched_prog::PifoScheduler::Config cfg;  // WFQ at -6 tag granularity
     cfg.rank.link_rate_bps = kRate;
@@ -240,7 +239,6 @@ std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (telemetry) prof.stop_sampling();
 
     const std::uint64_t ops =
         2 * static_cast<std::uint64_t>(r.records.size()) + r.dropped_packets;

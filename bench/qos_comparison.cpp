@@ -66,9 +66,6 @@ Row evaluate(scheduler::Scheduler& sched, obs::MetricsRegistry& reg,
     std::vector<std::uint32_t> weights;
     for (const auto& f : flows) weights.push_back(f.weight);
     net::SimDriver driver(kRate);
-    // Aggregate link-level telemetry across all eight scheduler runs:
-    // attach_metrics find-or-creates the shared net.* metrics.
-    driver.attach_metrics(reg);
     const auto result = driver.run(sched, flows);
 
     // Copy the boundary counters out — the scheduler dies with this scope,

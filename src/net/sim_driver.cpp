@@ -53,26 +53,18 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         metrics_ ? &metrics_->counter("net.delivered_packets") : nullptr;
     obs::Counter* m_faults = metrics_ ? &metrics_->counter("net.sorter_faults") : nullptr;
     obs::CycleHistogram* m_delay = metrics_ ? &metrics_->histogram("net.delay_us") : nullptr;
-    // Stage-section attribution (SampledTimer: 1-in-64 brackets, charged
-    // x64); disabled — a null target, one branch per scope — without a
-    // profiler.
+    // Stage-section attribution (obs::HostProfiler): every iteration
+    // counts its stages' items; a timed one (1 in 64) reads the clock at
+    // each stage boundary. Without a profiler a boundary only tests a
+    // pointer and a flag.
     using Stage = obs::HostProfiler::Stage;
-    obs::SampledTimer gen_timer(profiler_ ? &profiler_->stage(Stage::kGen) : nullptr);
-    obs::SampledTimer sched_timer(profiler_ ? &profiler_->stage(Stage::kSched)
-                                            : nullptr);
-    obs::SampledTimer egress_timer(profiler_ ? &profiler_->stage(Stage::kEgress)
-                                             : nullptr);
-    // Item counts flush to the profiler in blocks so the per-op cost is a
-    // local increment, not an atomic RMW.
-    constexpr std::uint64_t kItemFlush = 1024;
-    std::uint64_t gen_items = 0, sched_items = 0, egress_items = 0;
-    const auto flush_items = [&] {
-        if (!profiler_) return;
-        profiler_->stage(Stage::kGen).add_items(gen_items);
-        profiler_->stage(Stage::kSched).add_items(sched_items);
-        profiler_->stage(Stage::kEgress).add_items(egress_items);
-        gen_items = sched_items = egress_items = 0;
+    obs::HostProfiler* const prof = profiler_;
+    bool timed = false;
+    const auto stage_done = [&](Stage s) {
+        if (prof) prof->count(s);
+        if (timed) prof->lap(s);
     };
+    if (prof) prof->begin_run();
     std::priority_queue<PendingArrival, std::vector<PendingArrival>,
                         std::greater<PendingArrival>>
         arrivals;
@@ -108,34 +100,27 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
     };
 
     auto deliver_next_arrival = [&] {
-        const PendingArrival a = [&] {
-            auto scope = gen_timer.time();
-            const PendingArrival top = arrivals.top();
-            arrivals.pop();
-            if (const auto next = flows[top.source].source->next()) {
-                WFQS_ASSERT_MSG(next->time_ns >= top.time,
-                                "traffic source went backwards in time");
-                arrivals.push(PendingArrival{next->time_ns, top.source,
-                                             next->size_bytes, seq++});
-            }
-            return top;
-        }();
+        const PendingArrival a = arrivals.top();
+        arrivals.pop();
+        if (const auto next = flows[a.source].source->next()) {
+            WFQS_ASSERT_MSG(next->time_ns >= a.time,
+                            "traffic source went backwards in time");
+            arrivals.push(
+                PendingArrival{next->time_ns, a.source, next->size_bytes, seq++});
+        }
+        stage_done(Stage::kGen);
         now = std::max(now, a.time);
         const Packet pkt{next_packet_id++, static_cast<FlowId>(a.source),
                          a.size_bytes, a.time};
-        {
-            // Arrival-side result/metric recording is bookkeeping, not
-            // generation: attribute it to the egress section.
-            auto scope = egress_timer.time();
-            ++result.offered_packets;
-            WFQS_TRACE_INSTANT("arrival", "net", ns_to_trace_us(a.time));
-            if (m_offered) m_offered->inc();
-        }
-        if (profiler_ && ++gen_items % kItemFlush == 0) flush_items();
+        // Arrival-side result/metric recording is bookkeeping, not
+        // generation: a timed iteration charges it to the egress section.
+        ++result.offered_packets;
+        WFQS_TRACE_INSTANT("arrival", "net", ns_to_trace_us(a.time));
+        if (m_offered) m_offered->inc();
+        if (timed) prof->lap(Stage::kEgress);
         bool accepted = false;
         for (int attempt = 0;; ++attempt) {
             try {
-                auto scope = sched_timer.time();
                 accepted = sched.enqueue(pkt, a.time);
                 break;
             } catch (const fault::FaultError&) {
@@ -144,6 +129,7 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
                 note_recovery(a.time, attempt);
             }
         }
+        if (timed) prof->lap(Stage::kSched);
         if (!accepted) {
             ++result.dropped_packets;
             WFQS_TRACE_INSTANT("drop", "net", ns_to_trace_us(a.time));
@@ -152,6 +138,7 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
     };
 
     while (!arrivals.empty() || sched.has_packets()) {
+        timed = prof && prof->begin_iteration();
         if (!sched.has_packets()) {
             deliver_next_arrival();
             continue;
@@ -166,7 +153,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         bool faulted = false;
         for (int attempt = 0;; ++attempt) {
             try {
-                auto scope = sched_timer.time();
                 pkt = sched.dequeue(service_start);
                 break;
             } catch (const fault::FaultError&) {
@@ -182,24 +168,19 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
             WFQS_ASSERT_MSG(faulted, "scheduler claimed packets but gave none");
             continue;
         }
-        if (profiler_) ++sched_items;
-        {
-            auto scope = egress_timer.time();
-            const TimeNs done =
-                service_start + transmission_ns(pkt->size_bytes, rate_);
-            result.records.push_back(PacketRecord{*pkt, service_start, done});
-            WFQS_TRACE_INSTANT("departure", "net", ns_to_trace_us(done));
-            if (m_delivered) {
-                m_delivered->inc();
-                m_delay->record(static_cast<double>(done - pkt->arrival_ns) /
-                                1000.0);
-            }
-            result.last_departure_ns = done;
-            link_free_at = done;
+        stage_done(Stage::kSched);
+        const TimeNs done = service_start + transmission_ns(pkt->size_bytes, rate_);
+        result.records.push_back(PacketRecord{*pkt, service_start, done});
+        WFQS_TRACE_INSTANT("departure", "net", ns_to_trace_us(done));
+        if (m_delivered) {
+            m_delivered->inc();
+            m_delay->record(static_cast<double>(done - pkt->arrival_ns) / 1000.0);
         }
-        if (profiler_) ++egress_items;
+        result.last_departure_ns = done;
+        link_free_at = done;
+        stage_done(Stage::kEgress);
     }
-    flush_items();
+    if (prof) prof->end_run();
     return result;
 }
 

@@ -39,8 +39,8 @@ public:
     void attach_metrics(obs::MetricsRegistry& registry);
 
     /// Attribute the sequential loop's time to gen/sched/egress stage
-    /// sections with 1-in-64 SampledTimer brackets (see obs::HostProfiler).
-    /// The caller owns the profiler's sampling lifecycle; null detaches.
+    /// sections (see obs::HostProfiler). run() begins and ends the
+    /// profiler's run, so a profiler serves one run; null detaches.
     void set_profiler(obs::HostProfiler* profiler) { profiler_ = profiler; }
 
     /// Registers every flow with the scheduler (in order — flow ids are

@@ -34,7 +34,8 @@
 // Benches that tick the reporter's TimeSeries get real windows; benches
 // that never tick still export one whole-run window, so the section's
 // shape is uniform across the suite. --live names a status file a
-// profiler-attached bench rewrites during the run for `wfqs_top`.
+// profiler-attached bench rewrites at each profiler window and at the
+// end of the run, for `wfqs_top`.
 #pragma once
 
 #include <chrono>

@@ -1,7 +1,9 @@
 #include "obs/profiler.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -21,88 +23,111 @@ const char* HostProfiler::stage_name(Stage s) {
 
 HostProfiler::HostProfiler(std::size_t budget, std::chrono::milliseconds period)
     : series_(budget), period_(period) {
-    WFQS_REQUIRE(period.count() > 0, "sampler period must be positive");
+    WFQS_REQUIRE(period.count() > 0, "window period must be positive");
+    // The cost of one clock read: the fastest of a few batches of
+    // back-to-back reads. Every lap interval spans one read's overhead.
+    constexpr int kReads = 64;
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    for (int batch = 0; batch < 4; ++batch) {
+        const Clock::time_point a = Clock::now();
+        for (int i = 0; i < kReads; ++i) (void)Clock::now();
+        const Clock::time_point z = Clock::now();
+        best = std::min<std::int64_t>(
+            best, std::chrono::duration_cast<std::chrono::nanoseconds>(z - a).count() /
+                      (kReads + 1));
+    }
+    clock_cost_ns_ = best;
 }
 
-HostProfiler::~HostProfiler() {
-    if (sampler_.joinable()) stop_sampling();
+void HostProfiler::lap(Stage s) {
+    const Clock::time_point now = Clock::now();
+    const std::int64_t ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_).count() -
+        clock_cost_ns_;
+    if (ns > 0) pending_ns_[static_cast<std::size_t>(s)] += static_cast<std::uint64_t>(ns);
+    last_ = now;
+    if (now >= next_close_) {
+        close_window(now);
+        last_ = Clock::now();  // the close's own cost is no stage's sample
+    }
 }
 
 void HostProfiler::add_counter(const std::string& name,
                                std::function<std::uint64_t()> fn) {
-    WFQS_REQUIRE(!sampling(), "register probes before start_sampling()");
+    WFQS_REQUIRE(!began_, "register probes before begin_run()");
     series_.add_counter(name, std::move(fn));
 }
 
 void HostProfiler::begin_run() {
-    if (began_) return;
+    WFQS_REQUIRE(!began_, "a HostProfiler times one run");
     began_ = true;
-    t0_ = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        const std::string base =
+            std::string("stage.") + stage_name(static_cast<Stage>(i));
+        const StageCounters* c = &stages_[i];
+        series_.add_counter(base + ".items", [c] { return c->items; });
+        series_.add_counter(base + ".busy_ns", [c] { return c->busy_ns; });
+    }
+    t0_ = window_start_ = Clock::now();
+    next_close_ = t0_ + period_;
 }
 
 void HostProfiler::end_run() {
     if (!began_ || ended_) return;
     ended_ = true;
-    t1_ = std::chrono::steady_clock::now();
+    t1_ = Clock::now();
+    close_window(t1_);
+    next_close_ = Clock::time_point::max();
 }
 
-void HostProfiler::register_stage_probes() {
-    if (probes_registered_) return;
-    probes_registered_ = true;
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        const Stage s = static_cast<Stage>(i);
-        const std::string base = std::string("stage.") + stage_name(s);
-        const StageCounters* c = &stages_[i];
-        series_.add_counter(base + ".items",
-                            [c] { return c->items(); });
-        series_.add_counter(base + ".busy_ns",
-                            [c] { return c->busy_ns(); });
+void HostProfiler::poll() {
+    const Clock::time_point now = Clock::now();
+    if (now >= next_close_) close_window(now);
+}
+
+void HostProfiler::close_window(Clock::time_point now) {
+    // Split the window's wall time across the stages in proportion to
+    // their sampled time. Shares round down, so Σ busy stays within the
+    // wall time. A window with no samples carries its time forward.
+    std::uint64_t sampled = 0;
+    for (const std::uint64_t ns : pending_ns_) sampled += ns;
+    if (sampled > 0) {
+        const auto wall = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(now - window_start_)
+                .count());
+        for (std::size_t i = 0; i < kStageCount; ++i) {
+            stages_[i].busy_ns += static_cast<std::uint64_t>(
+                static_cast<unsigned __int128>(wall) * pending_ns_[i] / sampled);
+            pending_ns_[i] = 0;
+        }
+        window_start_ = now;
     }
+    series_.tick(std::chrono::duration<double>(now - t0_).count());
+    next_close_ = now + period_;
+    if (!live_path_.empty()) write_live();
 }
 
-void HostProfiler::start_sampling() {
-    WFQS_REQUIRE(!sampling(), "sampler already running");
-    register_stage_probes();
-    begin_run();
-    stop_.store(false, std::memory_order_relaxed);
-    sampler_ = std::thread([this] { sampler_loop(); });
-}
-
-void HostProfiler::stop_sampling() {
-    if (!sampler_.joinable()) return;
-    stop_.store(true, std::memory_order_relaxed);
-    sampler_.join();
-    end_run();
-}
-
-void HostProfiler::sampler_loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(period_);
-        const double t = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0_)
-                             .count();
-        series_.tick(t);
-        if (!live_path_.empty()) write_live();
-    }
+std::chrono::nanoseconds HostProfiler::elapsed() const {
+    if (!began_) return std::chrono::nanoseconds(0);
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+        (ended_ ? t1_ : Clock::now()) - t0_);
 }
 
 double HostProfiler::elapsed_seconds() const {
-    if (!began_) return 0.0;
-    const auto end = ended_ ? t1_ : std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(end - t0_).count();
+    return std::chrono::duration<double>(elapsed()).count();
 }
 
 std::vector<HostProfiler::StageSummary> HostProfiler::summary() const {
     std::uint64_t total_busy = 0;
-    for (const auto& c : stages_) total_busy += c.busy_ns();
+    for (const auto& c : stages_) total_busy += c.busy_ns;
     std::vector<StageSummary> out;
     out.reserve(kStageCount);
     for (std::size_t i = 0; i < kStageCount; ++i) {
         const StageCounters& c = stages_[i];
         StageSummary s{};
         s.name = stage_name(static_cast<Stage>(i));
-        s.items = c.items();
-        s.busy_ns = c.busy_ns();
+        s.items = c.items;
+        s.busy_ns = c.busy_ns;
         if (total_busy > 0)
             s.busy_fraction =
                 static_cast<double>(s.busy_ns) / static_cast<double>(total_busy);
@@ -126,6 +151,10 @@ HostProfiler::Stage HostProfiler::bottleneck() const {
 }
 
 void HostProfiler::write_json(JsonWriter& w) const {
+    std::uint64_t total_busy = 0;
+    for (const auto& c : stages_) total_busy += c.busy_ns;
+    WFQS_REQUIRE(total_busy <= static_cast<std::uint64_t>(elapsed().count()),
+                 "stage busy time exceeds the run's elapsed time");
     w.begin_object();
     w.field("elapsed_s", elapsed_seconds());
     w.field("bottleneck", stage_name(bottleneck()));

@@ -8,7 +8,7 @@
 //
 // Sampling model. The owner calls tick(t) on whatever axis it cares
 // about — hw clock cycles (fault_soak ticks every N verified ops) or
-// host wall-clock seconds (the profiler's sampler thread). Every
+// host wall-clock seconds (the profiler, at each window it closes). Every
 // stride()-th tick closes a window: each probe is sampled once and the
 // window stores
 //   * counters   — the delta since the previous window (rate-friendly);
@@ -24,9 +24,7 @@
 // doesn't close a window costs one branch.
 //
 // Threading: none. tick() and the probe callables run on the caller's
-// thread; cross-thread sources must expose atomics through their probe
-// fn (see obs::HostProfiler) — the single-writer rule of metrics.hpp
-// applies unchanged.
+// thread — the single-writer rule of metrics.hpp applies unchanged.
 #pragma once
 
 #include <cstdint>

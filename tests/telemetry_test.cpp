@@ -1,22 +1,22 @@
 // The continuous-telemetry layer: TimeSeries window/downsample math, the
 // FlightRecorder ring and its replayable dump format, and the
-// HostProfiler — including a concurrent-sampler run that the TSan CI job
-// uses to enforce the relaxed-atomic rule for counters the sampler
-// thread reads.
+// HostProfiler — its stage-time partition of the run and the live status
+// file it writes for wfqs_top.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
@@ -273,8 +273,8 @@ TEST(FlightRecorder, FreeFunctionRecordsOnlyWhenInstalled) {
 TEST(HostProfiler, BusyShareModeAttributesSequentialSections) {
     obs::HostProfiler prof;
     prof.begin_run();
-    prof.stage(obs::HostProfiler::Stage::kGen).add_busy_ns(1000);
-    prof.stage(obs::HostProfiler::Stage::kSched).add_busy_ns(3000);
+    prof.stage(obs::HostProfiler::Stage::kGen).busy_ns = 1000;
+    prof.stage(obs::HostProfiler::Stage::kSched).busy_ns = 3000;
     prof.end_run();
     const auto summary = prof.summary();
     EXPECT_DOUBLE_EQ(summary[0].busy_fraction, 0.25);  // gen
@@ -282,55 +282,59 @@ TEST(HostProfiler, BusyShareModeAttributesSequentialSections) {
     EXPECT_EQ(prof.bottleneck(), obs::HostProfiler::Stage::kSched);
 }
 
-TEST(HostProfiler, SampledTimerChargesStrideMultiples) {
-    obs::HostProfiler prof;
-    obs::SampledTimer timer(&prof.stage(obs::HostProfiler::Stage::kSched));
-    for (std::uint64_t i = 0; i < 2 * obs::SampledTimer::kStride; ++i) {
-        auto scope = timer.time();
-        // Two of these 128 brackets are measured and charged x64 each.
-    }
-    EXPECT_GT(prof.stage(obs::HostProfiler::Stage::kSched).busy_ns(), 0u);
-
-    obs::SampledTimer off(nullptr);  // null target: fully disabled
-    { auto scope = off.time(); }
+std::uint64_t total_busy_ns(const obs::HostProfiler& prof) {
+    std::uint64_t total = 0;
+    for (const auto& s : prof.summary()) total += s.busy_ns;
+    return total;
 }
 
-TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
-    // The TSan contract behind the profiler: stage writers bump relaxed
-    // atomics while the sampler thread reads them every millisecond. Any
-    // non-atomic sharing here is a CI failure.
+TEST(HostProfiler, TimedLapsPartitionTheRun) {
+    // One iteration in kStride is timed; its laps are split over the
+    // run's wall time at every window close, so Σ busy never exceeds
+    // elapsed and every stage that was timed gets a share.
+    using Stage = obs::HostProfiler::Stage;
     obs::HostProfiler prof(64, std::chrono::milliseconds(1));
-    std::atomic<std::uint64_t> extra{0};
-    // Probe reads: one at registration, then one per window the sampler
-    // cuts.
-    std::atomic<std::uint64_t> reads{0};
-    prof.add_counter("test.extra", [&] {
-        reads.fetch_add(1);
-        return extra.load();
-    });
-    prof.start_sampling();
-    std::vector<std::thread> writers;
-    for (int w = 0; w < 2; ++w) {
-        writers.emplace_back([&, w] {
-            auto& c = prof.stage(obs::HostProfiler::Stage::kGen);
-            for (int i = 0; i < 20000; ++i) {
-                c.add_items(1);
-                if (i % 64 == 0) {
-                    c.add_busy_ns(10);
-                    extra.fetch_add(static_cast<std::uint64_t>(w) + 1);
-                }
-            }
-        });
+    prof.begin_run();
+    const auto spin = [](std::chrono::microseconds d) {
+        const auto until = std::chrono::steady_clock::now() + d;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+    };
+    std::uint64_t timed = 0;
+    const std::uint64_t iterations = 8 * obs::HostProfiler::kStride;
+    for (std::uint64_t i = 0; i < iterations; ++i) {
+        if (!prof.begin_iteration()) continue;
+        ++timed;
+        spin(std::chrono::microseconds(100));
+        prof.lap(Stage::kGen);
+        spin(std::chrono::microseconds(300));
+        prof.lap(Stage::kSched);
     }
-    for (auto& t : writers) t.join();
-    // On a loaded machine the writers can finish before the sampler's
-    // first 1 ms tick; wait (bounded) for one window before stopping.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (reads.load() < 2 && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    prof.stop_sampling();
-    EXPECT_EQ(prof.stage(obs::HostProfiler::Stage::kGen).items(), 40000u);
-    EXPECT_GT(prof.series().window_count(), 0u);
+    prof.end_run();
+    EXPECT_EQ(timed, iterations / obs::HostProfiler::kStride);
+
+    const std::uint64_t gen = prof.stage(Stage::kGen).busy_ns;
+    const std::uint64_t sched = prof.stage(Stage::kSched).busy_ns;
+    EXPECT_GT(gen, 0u);
+    EXPECT_GT(sched, 0u);
+    EXPECT_EQ(prof.stage(Stage::kEgress).busy_ns, 0u);
+    EXPECT_LE(total_busy_ns(prof), prof.elapsed_seconds() * 1e9);
+    // At least the 3.2 ms of spinning crossed the 1 ms period.
+    EXPECT_GE(prof.series().window_count(), 2u);
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    EXPECT_NO_THROW(prof.write_json(w));
+}
+
+TEST(HostProfiler, ExportRefusesBusyBeyondElapsed) {
+    obs::HostProfiler prof;
+    prof.begin_run();
+    prof.end_run();
+    prof.stage(obs::HostProfiler::Stage::kSched).busy_ns =
+        static_cast<std::uint64_t>(prof.elapsed_seconds() * 1e9) + 1000;
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    EXPECT_THROW(prof.write_json(w), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,34 +349,65 @@ sched_prog::PifoScheduler make_wfq(std::uint64_t rate) {
     });
 }
 
-TEST(DriverTelemetry, ProfiledRunFeedsProfilerAndStaysIdentical) {
-    // The profiler + sampler must not perturb results: same workload
-    // with and without telemetry produces identical SimResults, and the
-    // profiler sees every stage's item flow. Under TSan this is also the
-    // end-to-end check that the sampler thread only reads atomics.
+net::SimResult run_profiled(obs::HostProfiler* prof) {
     const std::uint64_t rate = 50'000'000;
-    const auto run_with = [&](obs::HostProfiler* prof) {
-        auto sched = make_wfq(rate);
-        auto flows = net::make_mixed_profile(50 * kMs, 13);
-        net::SimDriver driver(rate);
-        driver.set_profiler(prof);
-        if (prof != nullptr) prof->start_sampling();
-        auto result = driver.run(sched, flows);
-        if (prof != nullptr) prof->stop_sampling();
-        return result;
-    };
-    const auto plain = run_with(nullptr);
+    auto sched = make_wfq(rate);
+    auto flows = net::make_mixed_profile(50 * kMs, 13);
+    net::SimDriver driver(rate);
+    driver.set_profiler(prof);
+    return driver.run(sched, flows);
+}
+
+TEST(DriverTelemetry, ProfiledRunFeedsProfilerAndStaysIdentical) {
+    // The profiler must not perturb results: same workload with and
+    // without telemetry produces identical SimResults, the profiler sees
+    // every stage's item flow, and stage time is a partition of the run.
+    const auto plain = run_profiled(nullptr);
     obs::HostProfiler prof(64, std::chrono::milliseconds(1));
-    const auto profiled = run_with(&prof);
+    const auto profiled = run_profiled(&prof);
     EXPECT_TRUE(plain == profiled);
 
     ASSERT_GT(plain.offered_packets, 0u);
     ASSERT_EQ(plain.dropped_packets, 0u);  // every packet crosses every stage
     using Stage = obs::HostProfiler::Stage;
-    EXPECT_EQ(prof.stage(Stage::kGen).items(), plain.offered_packets);
-    EXPECT_EQ(prof.stage(Stage::kSched).items(), plain.offered_packets);
-    EXPECT_EQ(prof.stage(Stage::kEgress).items(), plain.offered_packets);
+    EXPECT_EQ(prof.stage(Stage::kGen).items, plain.offered_packets);
+    EXPECT_EQ(prof.stage(Stage::kSched).items, plain.offered_packets);
+    EXPECT_EQ(prof.stage(Stage::kEgress).items, plain.offered_packets);
     EXPECT_GT(prof.elapsed_seconds(), 0.0);
+    EXPECT_GT(total_busy_ns(prof), 0u);
+    EXPECT_LE(total_busy_ns(prof), prof.elapsed_seconds() * 1e9);
+}
+
+TEST(DriverTelemetry, LiveFileFinalFrameMatchesTheRun) {
+    // The run's end rewrites the live file, so the frame wfqs_top shows
+    // last carries every item the driver moved.
+    const std::string path = ::testing::TempDir() + "wfqs_telemetry_test.live";
+    obs::HostProfiler prof(64, std::chrono::milliseconds(1));
+    prof.set_live_path(path);
+    const auto result = run_profiled(&prof);
+    ASSERT_EQ(result.dropped_packets, 0u);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "# wfqs-live v1");
+    int stage_rows = 0;
+    bool window_t = false;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::string key, name, items_key;
+        std::uint64_t items = 0;
+        ls >> key;
+        if (key == "window_t") window_t = true;
+        if (key != "stage") continue;
+        ls >> name >> items_key >> items;
+        EXPECT_EQ(items_key, "items");
+        EXPECT_EQ(items, result.offered_packets) << name;
+        ++stage_rows;
+    }
+    EXPECT_EQ(stage_rows, static_cast<int>(obs::HostProfiler::kStageCount));
+    EXPECT_TRUE(window_t);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ seed-deterministic metrics only):
 
 --host-overhead mode gates the cost of telemetry itself: both file lists
 come from the *same machine and bench*, the first run plain, the second
-with --timeseries (profiler + sampler attached). Comma-separated lists
+with --timeseries (host profiler attached). Comma-separated lists
 are best-of-N: the best ops/sec on each side is compared, and the run
 fails if telemetry costs more than --overhead-tolerance (default 3%) of
 host.ops_per_sec.

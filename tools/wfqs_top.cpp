@@ -4,8 +4,9 @@
 //
 //   wfqs_top STATUS_FILE [--interval MS] [--once]
 //       Attach to a live bench. A profiler-attached bench run with
-//       `--live STATUS_FILE` rewrites the file (tmp+rename) every
-//       sampler tick in the `# wfqs-live v1` format; wfqs_top polls it
+//       `--live STATUS_FILE` rewrites the file (tmp+rename) at every
+//       profiler window and at the end of the run, in the
+//       `# wfqs-live v1` format; wfqs_top polls it
 //       and redraws a per-stage table (items, busy fraction with a bar)
 //       plus ASCII sparklines of the most recent timeline
 //       windows. --once renders a single frame without touching the
