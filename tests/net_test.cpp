@@ -229,6 +229,99 @@ TEST(SimDriver, CountsDropsWhenBufferTiny) {
     EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
 }
 
+// ------------------------------------------------------ driver golden
+
+/// FNV-1a over (packet id, flow, arrival, service start, departure) of
+/// every departure, then the offered and dropped counts.
+std::uint64_t run_fingerprint(const SimResult& result) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto& r : result.records) {
+        mix(r.packet.id);
+        mix(r.packet.flow);
+        mix(r.packet.arrival_ns);
+        mix(r.service_start_ns);
+        mix(r.departure_ns);
+    }
+    mix(result.offered_packets);
+    mix(result.dropped_packets);
+    return h;
+}
+
+TEST(DriverGolden, ArrivalAndDepartureOrderArePinned) {
+    // The constants pin the driver's merge of its sources: which packet
+    // id each arrival gets (ties break by the order in which each
+    // source's previous arrival was delivered, flow index first), when it
+    // is served and what is dropped. A change that moves any of them
+    // must say why and re-record them.
+    struct Golden {
+        const char* name;
+        std::unique_ptr<scheduler::Scheduler> sched;
+        std::vector<FlowSpec> flows;
+        std::uint64_t link_bps;
+        std::uint64_t offered;
+        std::uint64_t drops;
+        std::uint64_t fingerprint;
+    };
+    const auto wfq = [](std::uint64_t link_bps) {
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.rank.link_rate_bps = link_bps;
+        return std::make_unique<sched_prog::PifoScheduler>(
+            cfg, [] { return baselines::make_tag_queue(baselines::QueueKind::Heap); });
+    };
+    std::vector<Golden> cases;
+    {
+        // Three in-phase CBR sources: every arrival ties with two others.
+        std::vector<FlowSpec> flows;
+        for (int i = 0; i < 3; ++i)
+            flows.push_back({std::make_unique<CbrSource>(2'000'000, 500, 0, kSecond / 2), 1});
+        cases.push_back({"in-phase CBR", std::make_unique<scheduler::FifoScheduler>(),
+                         std::move(flows), 5'000'000, 750, 0, 0xf9e58c3db1380a1bull});
+    }
+    {
+        // 40 CBR and Poisson sources, a third of which run dry mid-run.
+        std::vector<FlowSpec> flows;
+        for (std::uint64_t i = 0; i < 40; ++i) {
+            const TimeNs end = i % 3 == 0 ? kSecond / 8 + i * 1'000'000 : kSecond / 2;
+            if (i % 2 == 0)
+                flows.push_back({std::make_unique<CbrSource>(100'000 + 5'000 * i,
+                                                             100 + 20 * (i % 7),
+                                                             (i % 5) * 250'000, end),
+                                 1});
+            else
+                flows.push_back({std::make_unique<PoissonSource>(30.0 + 1.0 * i, 64, 1500,
+                                                                 end, 300 + i),
+                                 1});
+        }
+        cases.push_back({"40 CBR/Poisson", std::make_unique<scheduler::FifoScheduler>(
+                                               scheduler::SharedPacketBuffer::Config{
+                                                   8 << 10, 64}),
+                         std::move(flows), 10'000'000, 1636, 5, 0x3316b983799320ffull});
+    }
+    constexpr std::uint64_t kLink = 20'000'000;
+    cases.push_back({"mixed profile seed 3 through PIFO-WFQ", wfq(kLink),
+                     make_mixed_profile(kSecond / 2, 3), kLink, 883, 0,
+                     0x4ba6c3c80bb9edaaull});
+    cases.push_back({"mixed profile seed 8 through PIFO-WFQ", wfq(kLink),
+                     make_mixed_profile(kSecond / 2, 8), kLink, 971, 0,
+                     0xa3adafa09c41a503ull});
+    for (auto& c : cases) {
+        SCOPED_TRACE(c.name);
+        SimDriver driver(c.link_bps);
+        const SimResult result = driver.run(*c.sched, c.flows);
+        EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+        EXPECT_EQ(result.offered_packets, c.offered);
+        EXPECT_EQ(result.dropped_packets, c.drops);
+        EXPECT_EQ(run_fingerprint(result), c.fingerprint)
+            << "fingerprint 0x" << std::hex << run_fingerprint(result);
+    }
+}
+
 // ------------------------------------------------- sorter fault recovery
 
 /// When the queues a scheduler builds fault: the Nth insert and the Nth
