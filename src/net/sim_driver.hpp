@@ -52,7 +52,7 @@ public:
     SimResult run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flows);
 
 private:
-    std::uint64_t rate_;
+    LinkRate link_;
     obs::MetricsRegistry* metrics_ = nullptr;
     obs::HostProfiler* profiler_ = nullptr;
 };

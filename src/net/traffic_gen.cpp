@@ -58,8 +58,7 @@ OnOffParetoSource::OnOffParetoSource(std::uint64_t peak_rate_bps,
                                      std::uint32_t packet_bytes, double mean_on_s,
                                      double mean_off_s, double alpha, TimeNs end_ns,
                                      std::uint64_t seed)
-    : peak_rate_(peak_rate_bps),
-      packet_bytes_(packet_bytes),
+    : packet_bytes_(packet_bytes),
       mean_on_s_(mean_on_s),
       mean_off_s_(mean_off_s),
       alpha_(alpha),
@@ -67,10 +66,10 @@ OnOffParetoSource::OnOffParetoSource(std::uint64_t peak_rate_bps,
       rng_(seed) {
     WFQS_REQUIRE(peak_rate_bps > 0 && packet_bytes > 0, "bad on-off source config");
     WFQS_REQUIRE(alpha > 1.0, "Pareto alpha must exceed 1 for a finite mean");
+    gap_ = transmission_ns(packet_bytes, peak_rate_bps);
 }
 
 std::optional<Arrival> OnOffParetoSource::next() {
-    const TimeNs gap = transmission_ns(packet_bytes_, peak_rate_);
     if (t_ >= burst_end_) {
         // Draw the next OFF gap and ON burst. Pareto with mean m and shape
         // a has xm = m (a-1)/a.
@@ -82,7 +81,7 @@ std::optional<Arrival> OnOffParetoSource::next() {
     }
     if (t_ >= end_) return std::nullopt;
     const Arrival a{t_, packet_bytes_};
-    t_ += gap;
+    t_ += gap_;
     return a;
 }
 

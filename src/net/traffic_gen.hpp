@@ -89,8 +89,8 @@ public:
     std::string name() const override { return "on-off Pareto"; }
 
 private:
-    std::uint64_t peak_rate_;
     std::uint32_t packet_bytes_;
+    TimeNs gap_ = 0;  ///< serialization time of one packet at the peak rate
     double mean_on_s_;
     double mean_off_s_;
     double alpha_;

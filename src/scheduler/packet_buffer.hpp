@@ -12,10 +12,12 @@
 // both cost O(1) whatever the packet size.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "net/packet.hpp"
 
 namespace wfqs::scheduler {
@@ -32,12 +34,42 @@ public:
     SharedPacketBuffer();
     explicit SharedPacketBuffer(const Config& config);
 
+    // store and retrieve are inline: out of line, store's optional ref
+    // comes back through a stack slot (a byte store, then a wider reload).
+
     /// Store a packet; returns its descriptor index, or nullopt when the
     /// free pool cannot hold it (tail drop).
-    std::optional<BufferRef> store(const net::Packet& packet);
+    std::optional<BufferRef> store(const net::Packet& packet) {
+        const std::size_t need = cells_for(packet.size_bytes);
+        if (total_cells_ - used_cells_ < need) {
+            ++drops_;
+            return std::nullopt;
+        }
+        BufferRef ref;
+        if (free_descriptors_.empty()) {
+            ref = static_cast<BufferRef>(descriptors_.size());
+            descriptors_.emplace_back();
+        } else {
+            ref = free_descriptors_.back();
+            free_descriptors_.pop_back();
+        }
+        Descriptor& d = descriptors_[ref];
+        d.packet = packet;
+        d.cells = static_cast<std::uint32_t>(need);
+        used_cells_ += need;
+        peak_used_cells_ = std::max(peak_used_cells_, used_cells_);
+        return ref;
+    }
 
     /// Retrieve and free a stored packet.
-    net::Packet retrieve(BufferRef ref);
+    net::Packet retrieve(BufferRef ref) {
+        WFQS_ASSERT_MSG(is_stored(ref), "retrieve of a ref that is not a stored packet head");
+        Descriptor& d = descriptors_[ref];
+        used_cells_ -= d.cells;
+        d.cells = 0;
+        free_descriptors_.push_back(ref);
+        return d.packet;
+    }
 
     /// Inspect a stored packet without freeing it (the schedulers' header
     /// lookup, e.g. DRR checking the head-of-line size).

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "baselines/factory.hpp"
+#include "common/rng.hpp"
 #include "fault/errors.hpp"
 #include "net/packet.hpp"
 #include "net/sim_driver.hpp"
@@ -29,6 +31,31 @@ TEST(PacketHelpers, TransmissionTime) {
     EXPECT_EQ(transmission_ns(125, 1'000'000'000), 1000u);  // 1000 bits at 1 Gb/s
     EXPECT_EQ(transmission_ns(1500, 1'000'000'000), 12000u);
     EXPECT_GT(transmission_ns(1, 40'000'000'000ULL), 0u);  // rounds up, never 0
+}
+
+TEST(PacketHelpers, LinkRateReciprocalEqualsTransmissionTime) {
+    // The driver serialises packets through LinkRate; it must agree with
+    // transmission_ns on every size, at rates whose normalising shift
+    // runs from 63 to 0 (1 and 3 b/s also take the high-word reduction).
+    for (const std::uint64_t rate :
+         {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{50'000'000},
+          std::uint64_t{1'000'000'000}, (std::uint64_t{1} << 63) - 1, std::uint64_t{1} << 63,
+          (std::uint64_t{1} << 63) + 12'345, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(rate);
+        const LinkRate link(rate);
+        EXPECT_EQ(link.bps(), rate);
+        std::uint64_t mismatches = 0;
+        for (std::uint32_t size = 0; size <= 65'535; ++size)
+            mismatches += link.transmission_ns(size) != transmission_ns(size, rate);
+        Rng rng(rate);
+        for (int i = 0; i < 200'000; ++i) {
+            const auto size = static_cast<std::uint32_t>(rng.next_range(0, 0xffff'ffffu));
+            mismatches += link.transmission_ns(size) != transmission_ns(size, rate);
+        }
+        EXPECT_EQ(link.transmission_ns(0xffff'ffffu), transmission_ns(0xffff'ffffu, rate));
+        EXPECT_EQ(mismatches, 0u);
+    }
+    EXPECT_THROW(LinkRate(0), std::invalid_argument);
 }
 
 TEST(CbrSource, ExactRateAndSpacing) {
